@@ -88,48 +88,6 @@ func BenchmarkTable1Campaigns(b *testing.B) {
 	b.Log("\n" + out)
 }
 
-// BenchmarkFigure1Geolocation regenerates Figure 1: liker geolocation
-// per campaign.
-func BenchmarkFigure1Geolocation(b *testing.B) {
-	s, res := benchSetup(b)
-	camps := analysisCampaigns(res)
-	b.ResetTimer()
-	var rows []analysis.GeoRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = analysis.LocationBreakdown(s.Store(), camps)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if len(rows) == 0 {
-		b.Fatal("no geolocation rows")
-	}
-	b.Log("\n" + res.RenderFigure1())
-}
-
-// BenchmarkTable2Demographics regenerates Table 2: gender/age
-// distributions and KL divergence vs the global Facebook population.
-func BenchmarkTable2Demographics(b *testing.B) {
-	s, res := benchSetup(b)
-	camps := analysisCampaigns(res)
-	b.ResetTimer()
-	var rows []analysis.DemoRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = analysis.Demographics(s.Store(), camps)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if len(rows) == 0 {
-		b.Fatal("no demographics rows")
-	}
-	b.Log("\n" + res.RenderTable2())
-}
-
 // BenchmarkFigure2Temporal regenerates Figure 2: the cumulative like
 // time series and the burst-vs-trickle statistics.
 func BenchmarkFigure2Temporal(b *testing.B) {
@@ -190,53 +148,10 @@ func BenchmarkFigure3LikerGraph(b *testing.B) {
 	b.Log("\n" + res.RenderFigure3())
 }
 
-// BenchmarkFigure4PageLikeCDF regenerates Figure 4: the distribution of
-// page-like counts for every campaign's likers plus the organic baseline
-// sample.
-func BenchmarkFigure4PageLikeCDF(b *testing.B) {
-	s, res := benchSetup(b)
-	camps := analysisCampaigns(res)
-	b.ResetTimer()
-	var cdfs []analysis.PageLikeCDF
-	for i := 0; i < b.N; i++ {
-		var err error
-		cdfs, err = analysis.PageLikeCDFs(s.Store(), camps, res.Baseline)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if len(cdfs) == 0 {
-		b.Fatal("no CDFs")
-	}
-	b.Log("\n" + res.RenderFigure4())
-}
-
-// BenchmarkFigure5Jaccard regenerates Figure 5: the 13x13 Jaccard
-// similarity matrices over campaigns' page-like sets and liker sets.
-func BenchmarkFigure5Jaccard(b *testing.B) {
-	s, res := benchSetup(b)
-	camps := analysisCampaigns(res)
-	b.ResetTimer()
-	var pageSim [][]float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		pageSim, _, err = analysis.JaccardMatrices(s.Store(), camps)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if len(pageSim) != len(camps) {
-		b.Fatal("matrix size mismatch")
-	}
-	b.Log("\n" + res.RenderFigure5())
-}
-
 // benchFullStudy runs the complete end-to-end pipeline — world build,
 // 13 campaigns, monitoring, sweep, all analyses — at 1/10 scale with
-// the given worker-pool size and analysis engine.
-func benchFullStudy(b *testing.B, workers int, analyses string) {
+// the given worker-pool size.
+func benchFullStudy(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		cfg, err := core.ScaledConfig(int64(i)+1, 0.1)
@@ -244,7 +159,6 @@ func benchFullStudy(b *testing.B, workers int, analyses string) {
 			b.Fatal(err)
 		}
 		cfg.Workers = workers
-		cfg.Analyses = analyses
 		s, err := core.NewStudy(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -256,20 +170,14 @@ func benchFullStudy(b *testing.B, workers int, analyses string) {
 }
 
 // BenchmarkFullStudy measures the parallel engine at its default width
-// (Workers = GOMAXPROCS) with the one-pass streaming analysis phase.
-// Compare against BenchmarkFullStudySerial for the pool speedup and
-// BenchmarkFullStudyMultiScan for the one-pass win; the determinism
-// tests prove all of them produce identical output for a fixed seed.
-func BenchmarkFullStudy(b *testing.B) { benchFullStudy(b, 0, core.AnalysisOnePass) }
+// (Workers = GOMAXPROCS). Compare against BenchmarkFullStudySerial for
+// the pool speedup; the determinism tests prove both produce identical
+// output for a fixed seed.
+func BenchmarkFullStudy(b *testing.B) { benchFullStudy(b, 0) }
 
 // BenchmarkFullStudySerial is the same pipeline pinned to one worker —
 // the serial baseline for the parallel engine.
-func BenchmarkFullStudySerial(b *testing.B) { benchFullStudy(b, 1, core.AnalysisOnePass) }
-
-// BenchmarkFullStudyMultiScan is the same pipeline with the legacy
-// analysis engine (one full store scan per §4 analysis) — the baseline
-// the journal-backed one-pass phase is measured against.
-func BenchmarkFullStudyMultiScan(b *testing.B) { benchFullStudy(b, 0, core.AnalysisMultiScan) }
+func BenchmarkFullStudySerial(b *testing.B) { benchFullStudy(b, 1) }
 
 // BenchmarkSweepGrid measures the scenario-grid runner: a 4-variant
 // budget×population grid of small studies executed concurrently.
@@ -635,7 +543,7 @@ func BenchmarkMonitorPolling(b *testing.B) {
 	}
 }
 
-// ---- Journal and one-pass analysis benches (DESIGN.md §8) ----
+// ---- Journal and §4 table-driver benches (DESIGN.md §8) ----
 
 // BenchmarkJournalMillionLikes is the million-like ingest bench: a
 // quarter-million users bulk-import four-page histories (the journal's
@@ -734,64 +642,31 @@ func BenchmarkMonitorTickIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalysisOnePass measures the streaming analysis phase in
-// isolation: one canonical journal materialization feeding all six
-// like-scan aggregators.
-func BenchmarkAnalysisOnePass(b *testing.B) {
+// BenchmarkAnalysisTables regenerates Figure 1, Table 2, Figure 2's
+// 2-hour windows, Figure 4 and Figure 5: the §4 table driver
+// (CrawlAnalyzer.ObserveStore) feeding the crawl aggregator family
+// from the study's store, then finalizing the tables.
+func BenchmarkAnalysisTables(b *testing.B) {
 	s, res := benchSetup(b)
-	st := s.Store()
-	camps := analysisCampaigns(res)
+	roster := make([]analysis.CrawlCampaign, len(res.Campaigns))
+	for i, c := range res.Campaigns {
+		roster[i] = analysis.CrawlCampaign{ID: c.Spec.ID, Page: c.Page, Active: c.Active}
+	}
 	b.ResetTimer()
+	var tables analysis.CrawlTables
 	for i := 0; i < b.N; i++ {
-		geo := analysis.NewGeoAggregator(st, camps)
-		demo := analysis.NewDemoAggregator(st, camps)
-		win := analysis.NewWindowAggregator(camps)
-		cdf := analysis.NewPageLikeCDFAggregator(camps, res.Baseline)
-		jac := analysis.NewJaccardAggregator(camps)
-		rem := analysis.NewRemovedLikesAggregator(st, camps)
-		err := analysis.RunPass(st.Journal(), camps, res.Baseline, 0,
-			geo, demo, win, cdf, jac, rem)
-		if err != nil {
+		a := analysis.NewCrawlAnalyzer(roster, res.Baseline)
+		if err := a.ObserveStore(s.Store()); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if tables, err = a.Tables(); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAnalysisMultiScan measures the legacy analysis phase: one
-// full store scan per analysis (the baseline BenchmarkAnalysisOnePass
-// replaces). Note this bench flatters the legacy path: repeated
-// iterations reuse the store's lazy per-user sort caches, which a real
-// run pays for cold — the end-to-end comparison (BenchmarkFullStudy vs
-// BenchmarkFullStudyMultiScan) is the honest one, and there the
-// one-pass engine wins.
-func BenchmarkAnalysisMultiScan(b *testing.B) {
-	s, res := benchSetup(b)
-	st := s.Store()
-	camps := analysisCampaigns(res)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := analysis.LocationBreakdown(st, camps); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := analysis.Demographics(st, camps); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := analysis.PageLikeCDFs(st, camps, res.Baseline); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := analysis.JaccardMatrices(st, camps); err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range camps {
-			likes := st.LikesOfPage(c.Page)
-			times := make([]time.Time, len(likes))
-			for j, lk := range likes {
-				times[j] = lk.At
-			}
-			if _, err := analysis.WindowAnalysis(c.ID, times); err != nil {
-				b.Fatal(err)
-			}
-			_ = st.LikeCountOfPage(c.Page) - st.ActiveLikeCountOfPage(c.Page)
-		}
+	b.StopTimer()
+	if len(tables.Geo) == 0 || len(tables.CDFs) == 0 || len(tables.PageSim) != len(roster) {
+		b.Fatal("tables incomplete")
 	}
+	b.Log("\n" + res.RenderFigure1() + "\n" + res.RenderTable2() + "\n" + res.RenderFigure4() + "\n" + res.RenderFigure5())
 }

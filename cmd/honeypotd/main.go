@@ -33,6 +33,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -51,6 +52,20 @@ func main() {
 	}))
 }
 
+// syncWriter serializes writes to the diagnostics writer: the live
+// monitor and scorer goroutines log to it concurrently, and an
+// io.Writer is not in general safe for that (a bytes.Buffer is not).
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
 // run is the testable body of the command: it parses flags, builds (or
 // loads, or durably reopens) the world, assembles the crawl surface,
 // and hands the handler to serve. In production serve is serveGraceful
@@ -58,6 +73,7 @@ func main() {
 // SIGINT/SIGTERM; tests inject a serve function backed by httptest
 // instead of a real listener. It returns the process exit code.
 func run(args []string, stderr io.Writer, serve func(addr string, h http.Handler, maxConns int) error) int {
+	stderr = &syncWriter{w: stderr}
 	fs := flag.NewFlagSet("honeypotd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")

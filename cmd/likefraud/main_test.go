@@ -171,7 +171,7 @@ func TestRunCrawlDataDir(t *testing.T) {
 // the equivalence guarantee: `likefraud crawl -analyze` (self-served
 // world, roster discovered from page names, baseline re-derived from
 // the seed) writes byte-identical §4 table JSON to `likefraud -tables`
-// (journal engine) for the same seed and scale.
+// (the in-process study) for the same seed and scale.
 func TestCrawlAnalyzeMatchesJournalTables(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "journal-tables.json")
@@ -196,7 +196,7 @@ func TestCrawlAnalyzeMatchesJournalTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("crawl-derived tables differ from journal tables\ncrawl:   %.400s\njournal: %.400s", got, want)
+		t.Fatalf("crawl-derived tables differ from study tables\ncrawl: %.400s\nstudy: %.400s", got, want)
 	}
 	if !strings.Contains(cOut.String(), "wrote §4 tables") {
 		t.Fatalf("missing tables summary:\n%s", cOut.String())

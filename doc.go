@@ -19,11 +19,12 @@
 //
 // Every like flows through socialnet.Journal, an append-only sharded
 // event log the indexes are derived views of. Honeypot monitors advance
-// per-page journal cursors (O(new likes) per §3 poll), the §4 analyses
-// run as streaming Aggregators fanned out over one pass of the journal
-// (analysis.RunPass), and the fraud sweep groups its burst features
-// from one journal scan; see DESIGN.md §8 for the cursor semantics and
-// the determinism rules new aggregators must follow.
+// per-page journal cursors (O(new likes) per §3 poll), the §4 tables
+// come from the crawl aggregator family fed from the store by one
+// serial in-process crawl (analysis.CrawlAnalyzer.ObserveStore), and
+// the fraud sweep groups its burst features from one journal scan; see
+// DESIGN.md §8 for the cursor semantics and the determinism rules new
+// aggregators must follow.
 //
 // The §5 fraud detector also runs live: detect.StreamScorer consumes
 // the journal from a persisted cursor, folding per-account burst

@@ -10,8 +10,8 @@
 // The §4 tables are computed WHILE the crawl runs: an AnalysisSink
 // streams every crawled profile and like window straight into the
 // crawl-side aggregator family, so no profile slice is ever
-// materialized — and the resulting tables are byte-identical to what
-// the local journal engine computes from the same world.
+// materialized — and the resulting tables are byte-identical to the
+// ones the study computes in-process from the same world.
 package main
 
 import (
@@ -97,15 +97,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	jt := res.CrawlTables()
-	journalJSON, err := jt.MarshalStable()
+	studyTables := res.CrawlTables()
+	studyJSON, err := studyTables.MarshalStable()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if bytes.Equal(crawlJSON, journalJSON) {
-		fmt.Printf("\ncrawl-derived §4 tables == journal-engine tables (%d bytes, byte-identical)\n", len(crawlJSON))
+	if bytes.Equal(crawlJSON, studyJSON) {
+		fmt.Printf("\ncrawl-derived §4 tables == study tables (%d bytes, byte-identical)\n", len(crawlJSON))
 	} else {
-		fmt.Println("\nWARNING: crawl-derived tables diverge from the journal engine")
+		fmt.Println("\nWARNING: crawl-derived tables diverge from the study's")
 	}
 
 	// A taste of the recomputed artifacts, straight from the crawl.

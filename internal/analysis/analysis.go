@@ -80,34 +80,6 @@ func geoRowFrom(id string, counts map[string]float64, total int) GeoRow {
 	return GeoRow{CampaignID: id, Percent: pct, Total: total}
 }
 
-// LocationBreakdown computes Figure 1: per campaign, the percentage of
-// likers per country, with non-study countries folded into "Other".
-func LocationBreakdown(st *socialnet.Store, campaigns []Campaign) ([]GeoRow, error) {
-	known := knownCountries()
-	var out []GeoRow
-	for _, c := range campaigns {
-		if !c.Active {
-			continue
-		}
-		counts := make(map[string]float64)
-		total := 0
-		for _, uid := range c.Likers {
-			u, err := st.User(uid)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: geolocation: %w", err)
-			}
-			label := u.Country
-			if !known[label] {
-				label = socialnet.CountryOther
-			}
-			counts[label]++
-			total++
-		}
-		out = append(out, geoRowFrom(c.ID, counts, total))
-	}
-	return out, nil
-}
-
 // DemoRow is one campaign's Table 2 row.
 type DemoRow struct {
 	CampaignID string
@@ -121,72 +93,29 @@ type DemoRow struct {
 	N  int
 }
 
-// demoTally accumulates one campaign's gender/age counts; demoRowFrom
-// turns the tally into a Table 2 row. Shared between the batch scan and
-// the streaming aggregator.
-type demoTally struct {
-	ageCounts [6]float64
-	nf, nm, n int
-}
-
-func (t *demoTally) observe(u socialnet.User) {
-	switch u.Gender {
-	case socialnet.GenderFemale:
-		t.nf++
-	case socialnet.GenderMale:
-		t.nm++
-	}
-	if int(u.Age) < len(t.ageCounts) {
-		t.ageCounts[u.Age]++
-	}
-	t.n++
-}
-
-func demoRowFrom(id string, t demoTally) (DemoRow, error) {
-	row := DemoRow{CampaignID: id, N: t.n}
-	if t.nf+t.nm > 0 {
-		row.FemalePct = 100 * float64(t.nf) / float64(t.nf+t.nm)
-		row.MalePct = 100 * float64(t.nm) / float64(t.nf+t.nm)
+// demoRowFrom turns one campaign's gender/age tally into a Table 2
+// row.
+func demoRowFrom(id string, t crawlDemoTally) (DemoRow, error) {
+	row := DemoRow{CampaignID: id, N: t.N}
+	if t.NF+t.NM > 0 {
+		row.FemalePct = 100 * float64(t.NF) / float64(t.NF+t.NM)
+		row.MalePct = 100 * float64(t.NM) / float64(t.NF+t.NM)
 	}
 	total := 0.0
-	for _, v := range t.ageCounts {
+	for _, v := range t.Age {
 		total += v
 	}
 	if total > 0 {
-		for i, v := range t.ageCounts {
+		for i, v := range t.Age {
 			row.AgePct[i] = 100 * v / total
 		}
-		kl, err := stats.KLDivergence(t.ageCounts[:], socialnet.GlobalAgeDistribution())
+		kl, err := stats.KLDivergence(t.Age[:], socialnet.GlobalAgeDistribution())
 		if err != nil {
 			return DemoRow{}, fmt.Errorf("analysis: demographics KL: %w", err)
 		}
 		row.KL = kl
 	}
 	return row, nil
-}
-
-// Demographics computes Table 2 for the active campaigns.
-func Demographics(st *socialnet.Store, campaigns []Campaign) ([]DemoRow, error) {
-	var out []DemoRow
-	for _, c := range campaigns {
-		if !c.Active {
-			continue
-		}
-		var tally demoTally
-		for _, uid := range c.Likers {
-			u, err := st.User(uid)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: demographics: %w", err)
-			}
-			tally.observe(u)
-		}
-		row, err := demoRowFrom(c.ID, tally)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }
 
 // GlobalDemoRow returns the reference row (last row of Table 2).

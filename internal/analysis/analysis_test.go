@@ -50,14 +50,33 @@ func buildWorld(t *testing.T) (*socialnet.Store, []Campaign) {
 	}
 }
 
-func TestLocationBreakdown(t *testing.T) {
-	st, camps := buildWorld(t)
-	rows, err := LocationBreakdown(st, camps)
+// storeTables runs the §4 table driver — the in-process crawl the study
+// uses — over a hand-made store and returns the finalized tables.
+func storeTables(t *testing.T, st *socialnet.Store, campaigns []Campaign, baseline []socialnet.UserID) CrawlTables {
+	t.Helper()
+	roster := make([]CrawlCampaign, len(campaigns))
+	for i, c := range campaigns {
+		roster[i] = CrawlCampaign{ID: c.ID, Page: c.Page, Active: c.Active}
+	}
+	a := NewCrawlAnalyzer(roster, baseline)
+	if err := a.ObserveStore(st); err != nil {
+		t.Fatal(err)
+	}
+	tables, err := a.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d (inactive should be skipped)", len(rows))
+	return tables
+}
+
+func TestLocationBreakdown(t *testing.T) {
+	st, camps := buildWorld(t)
+	// An active campaign whose page drew no likes keeps its row, empty.
+	empty, _ := st.AddPage(socialnet.Page{Name: "E", Honeypot: true})
+	camps = append(camps, Campaign{ID: "E", Provider: "P4", Page: empty, Active: true})
+	rows := storeTables(t, st, camps, nil).Geo
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d (inactive should be skipped, empty kept)", len(rows))
 	}
 	if rows[0].Percent[socialnet.CountryIndia] != 100 {
 		t.Fatalf("A india pct = %v", rows[0].Percent)
@@ -68,6 +87,9 @@ func TestLocationBreakdown(t *testing.T) {
 	if rows[0].Total != 200 || rows[1].Total != 150 {
 		t.Fatalf("totals = %d/%d", rows[0].Total, rows[1].Total)
 	}
+	if rows[2].CampaignID != "E" || rows[2].Total != 0 || len(rows[2].Percent) != 0 {
+		t.Fatalf("empty campaign row = %+v", rows[2])
+	}
 }
 
 func TestLocationFoldsUnknownIntoOther(t *testing.T) {
@@ -75,10 +97,7 @@ func TestLocationFoldsUnknownIntoOther(t *testing.T) {
 	p, _ := st.AddPage(socialnet.Page{Name: "X", Honeypot: true})
 	u := st.AddUser(socialnet.User{Country: "Narnia"})
 	_ = st.AddLike(u, p, t0)
-	rows, err := LocationBreakdown(st, []Campaign{{ID: "X", Provider: "P", Page: p, Likers: []socialnet.UserID{u}, Active: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := storeTables(t, st, []Campaign{{ID: "X", Provider: "P", Page: p, Likers: []socialnet.UserID{u}, Active: true}}, nil).Geo
 	if rows[0].Percent[socialnet.CountryOther] != 100 {
 		t.Fatalf("other pct = %v", rows[0].Percent)
 	}
@@ -86,11 +105,21 @@ func TestLocationFoldsUnknownIntoOther(t *testing.T) {
 
 func TestDemographics(t *testing.T) {
 	st, camps := buildWorld(t)
-	rows, err := Demographics(st, camps)
-	if err != nil {
-		t.Fatal(err)
+	// Campaign U: one liker with no gender and no age bracket, one
+	// female 18-24. Both count toward N; only the second toward the
+	// gender split and the age distribution.
+	pu, _ := st.AddPage(socialnet.Page{Name: "U", Honeypot: true})
+	for _, u := range []socialnet.User{
+		{Gender: socialnet.GenderUnknown, Age: socialnet.AgeBracket(200)},
+		{Gender: socialnet.GenderFemale, Age: socialnet.Age18to24},
+	} {
+		if err := st.AddLike(st.AddUser(u), pu, t0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(rows) != 2 {
+	camps = append(camps, Campaign{ID: "U", Provider: "P4", Page: pu, Active: true})
+	rows := storeTables(t, st, camps, nil).Demo
+	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	a, b := rows[0], rows[1]
@@ -112,6 +141,10 @@ func TestDemographics(t *testing.T) {
 	}
 	if math.Abs(sum-100) > 0.01 {
 		t.Fatalf("A ages sum to %v", sum)
+	}
+	u := rows[2]
+	if u.N != 2 || u.FemalePct != 100 || u.MalePct != 0 || u.AgePct[socialnet.Age18to24] != 100 {
+		t.Fatalf("U row = %+v, want N=2, 100%% female, 100%% 18-24", u)
 	}
 }
 
@@ -287,10 +320,7 @@ func TestPageLikeCDFs(t *testing.T) {
 		baseline = append(baseline, u)
 	}
 	camps := []Campaign{{ID: "X", Provider: "P", Page: hp, Likers: likers, Active: true}}
-	cdfs, err := PageLikeCDFs(st, camps, baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cdfs := storeTables(t, st, camps, baseline).CDFs
 	if len(cdfs) != 2 {
 		t.Fatalf("cdfs = %d", len(cdfs))
 	}
@@ -301,8 +331,12 @@ func TestPageLikeCDFs(t *testing.T) {
 	if cdfs[0].Median != 6.5 {
 		t.Fatalf("median = %v, want 6.5", cdfs[0].Median)
 	}
-	if cdfs[1].CampaignID != "Facebook" || cdfs[1].Median != 1 {
+	if cdfs[1].CampaignID != "Facebook" || cdfs[1].N != 5 || cdfs[1].Median != 1 {
 		t.Fatalf("baseline cdf = %+v", cdfs[1])
+	}
+	// Without a baseline sample there is no "Facebook" row.
+	if cdfs := storeTables(t, st, camps, nil).CDFs; len(cdfs) != 1 {
+		t.Fatalf("cdfs without baseline = %+v", cdfs)
 	}
 }
 
@@ -361,10 +395,8 @@ func TestJaccardMatrices(t *testing.T) {
 		{ID: "C2", Provider: "P", Page: hp2, Likers: []socialnet.UserID{u2}, Active: true},
 		{ID: "C3", Provider: "P", Page: hp2, Active: false},
 	}
-	pageSim, userSim, err := JaccardMatrices(st, camps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := storeTables(t, st, camps, nil)
+	pageSim, userSim := tables.PageSim, tables.UserSim
 	// Page sets: {shared, only1} vs {shared, only2} -> J = 1/3.
 	if math.Abs(pageSim[0][1]-100.0/3) > 0.01 {
 		t.Fatalf("pageSim = %v", pageSim[0][1])

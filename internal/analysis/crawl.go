@@ -11,14 +11,11 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the crawl-side twin of the journal aggregators in
-// stream.go: the §4 analyses computed from what an HTTP crawl observes
-// (page like streams and crawled liker profiles) instead of from a
-// local journal. The two engines share every finalize code path
-// (geoRowFrom, demoRowFrom, WindowAnalysis, newPageLikeCDF,
-// bitmapJaccard, similarityMatrices), so on a fully monitored world
-// they produce byte-identical tables — the equivalence the paper's
-// reproduction needs to trust a remote crawl.
+// This file is the §4 table engine: the analyses computed from what a
+// crawl observes (page like streams and liker profiles). The same
+// aggregator family serves an HTTP crawl (crawler.AnalysisSink), its
+// checkpoints and shard merges, and the in-process study, which feeds
+// it from a local store through CrawlAnalyzer.ObserveStore.
 
 // CrawlCampaign is one honeypot campaign as the crawl-side analyses
 // see it: the roster entry a crawler can reconstruct from the API
@@ -30,7 +27,7 @@ type CrawlCampaign struct {
 	// Page is the campaign's honeypot page.
 	Page socialnet.PageID
 	// Active is false for paid-but-never-delivered campaigns; they
-	// produce empty rows exactly as in the journal engine.
+	// appear as dashes in tables and zero rows in the matrices.
 	Active bool
 }
 
@@ -38,8 +35,8 @@ type CrawlCampaign struct {
 // the §3 data-collection unit after the wire strings are parsed back
 // into enums. PageLikes is the user's full public page-like list —
 // their entire journal presence, campaign likes and cover history
-// alike — which is what makes the crawl-side CDF and Jaccard equal the
-// journal-side ones.
+// alike — which is what the Figure 4 counts and Figure 5 page unions
+// are built from.
 type CrawlProfile struct {
 	User          socialnet.UserID
 	Gender        socialnet.Gender
@@ -66,14 +63,16 @@ func (p *CrawlProfile) LikesCampaign(page socialnet.PageID) bool {
 //   - ObserveProfile: every crawled liker profile, exactly once per
 //     user across all campaigns (the pipeline's dedup set).
 //
-// Determinism rules are the journal rules of DESIGN.md §8 transplanted:
-// both observers must be ORDER-INSENSITIVE folds — the pipeline's
-// emission order is scheduling-dependent, only the observed SET is a
-// pure function of the world — and Finalize must emit rows in campaign
-// (roster-slice) order. State/Restore round-trip the fold mid-stream so
-// aggregator progress rides inside the crawl checkpoint: a restored
-// aggregator that observes exactly the complement of what its snapshot
-// covered finalizes byte-identically to an uninterrupted one.
+// Determinism rules (DESIGN.md §8): both observers must be
+// ORDER-INSENSITIVE folds — the pipeline's emission order is
+// scheduling-dependent, only the observed SET is a pure function of
+// the world — and Finalize must emit rows in campaign (roster-slice)
+// order. Observers must not retain the profile's slices beyond the
+// call: the store driver reuses one PageLikes buffer across profiles.
+// State/Restore round-trip the fold mid-stream so aggregator progress
+// rides inside the crawl checkpoint: a restored aggregator that
+// observes exactly the complement of what its snapshot covered
+// finalizes byte-identically to an uninterrupted one.
 type CrawlAggregator interface {
 	// ObserveProfile folds one crawled profile.
 	ObserveProfile(p CrawlProfile)
@@ -88,7 +87,7 @@ type CrawlAggregator interface {
 }
 
 // crawlPageIdx maps page ID to campaign index as a dense array (-1 =
-// not a campaign page) — the CrawlCampaign twin of densePageIndex.
+// not a campaign page), sized by the largest campaign page ID.
 func crawlPageIdx(campaigns []CrawlCampaign, activeOnly bool) []int32 {
 	var maxPage socialnet.PageID
 	for _, c := range campaigns {
@@ -109,14 +108,13 @@ func crawlPageIdx(campaigns []CrawlCampaign, activeOnly bool) []int32 {
 	return idx
 }
 
-// asCampaigns converts the crawl roster to the minimal []Campaign the
-// shared finalize helpers (similarityMatrices) accept.
-func asCampaigns(campaigns []CrawlCampaign) []Campaign {
-	out := make([]Campaign, len(campaigns))
-	for i, c := range campaigns {
-		out[i] = Campaign{ID: c.ID, Page: c.Page, Active: c.Active}
+// campaignOf resolves a page to its campaign index, or -1. Pages
+// beyond the dense index are by definition not campaign pages.
+func campaignOf(idx []int32, p socialnet.PageID) int32 {
+	if int(p) >= len(idx) {
+		return -1
 	}
-	return out
+	return idx[p]
 }
 
 // ---- Figure 1: geolocation ----
@@ -212,8 +210,9 @@ func (g *CrawlGeoAggregator) Restore(data []byte) error {
 
 // ---- Table 2: demographics ----
 
-// crawlDemoTally is demoTally with exported fields so it serializes
-// into the crawl checkpoint.
+// crawlDemoTally accumulates one campaign's gender/age counts
+// (exported fields, so it serializes into the crawl checkpoint);
+// demoRowFrom turns it into a Table 2 row.
 type crawlDemoTally struct {
 	Age [6]float64 `json:"age"`
 	NF  int        `json:"nf"`
@@ -267,8 +266,7 @@ func (d *CrawlDemoAggregator) Finalize() error {
 		if !c.Active {
 			continue
 		}
-		t := d.tallies[i]
-		row, err := demoRowFrom(c.ID, demoTally{ageCounts: t.Age, nf: t.NF, nm: t.NM, n: t.N})
+		row, err := demoRowFrom(c.ID, d.tallies[i])
 		if err != nil {
 			return err
 		}
@@ -299,9 +297,9 @@ func (d *CrawlDemoAggregator) Restore(data []byte) error {
 // ---- Figure 2 (2-hour windows) ----
 
 // CrawlWindowAggregator streams the 2-hour window analysis from the
-// crawled pages' like streams. Like the journal twin it covers every
-// campaign, active or not, and buffers only the campaign pages' own
-// (small) time series.
+// crawled pages' like streams. It covers every campaign, active or not
+// (inactive pages contribute empty streams), and buffers only the
+// campaign pages' own (small) time series.
 type CrawlWindowAggregator struct {
 	campaigns []CrawlCampaign
 	pageIdx   []int32
@@ -330,7 +328,8 @@ func (w *CrawlWindowAggregator) ObserveLike(page socialnet.PageID, _ socialnet.U
 
 // Finalize implements CrawlAggregator. The buffered series are sorted
 // here — the crawl delivers page streams in append order, not time
-// order, exactly like the journal's shard-canonical streams.
+// order — the one place in the family that pays for order, at
+// per-campaign rather than journal scale.
 func (w *CrawlWindowAggregator) Finalize() error {
 	w.stats = make([]WindowStats, len(w.campaigns))
 	for i, c := range w.campaigns {
@@ -530,14 +529,7 @@ func (j *CrawlJaccardAggregator) ObserveProfile(p CrawlProfile) {
 			if pg == c.Page {
 				continue // exclude the campaign's own honeypot page
 			}
-			seen := j.pageSeen[i]
-			if int(pg) >= len(seen) {
-				grown := make([]bool, int(pg)+1)
-				copy(grown, seen)
-				seen = grown
-				j.pageSeen[i] = seen
-			}
-			seen[pg] = true
+			j.pageSeen[i] = markPage(j.pageSeen[i], pg)
 		}
 	}
 }
@@ -555,10 +547,41 @@ func (j *CrawlJaccardAggregator) Finalize() error {
 			}
 		}
 	}
-	j.pageSim, j.userSim = similarityMatrices(asCampaigns(j.campaigns),
+	j.pageSim, j.userSim = similarityMatrices(j.campaigns,
 		func(a, b int) float64 { return 100 * bitmapJaccard(j.pageSeen[a], j.pageSeen[b], sizes[a], sizes[b]) },
 		func(a, b int) float64 { return 100 * stats.Jaccard(j.users[a], j.users[b]) })
 	return nil
+}
+
+// markPage sets page pg in a dense page bitmap and returns the bitmap,
+// growing it geometrically so a stream of ever-larger page IDs costs
+// amortized O(1) per mark. Bytes past len are never written, so a
+// reslice into spare capacity exposes only zeroes.
+func markPage(seen []bool, pg socialnet.PageID) []bool {
+	if n := int(pg) + 1; n > len(seen) {
+		seen = slices.Grow(seen, n-len(seen))[:n]
+	}
+	seen[pg] = true
+	return seen
+}
+
+// bitmapJaccard is the Jaccard similarity of two dense membership
+// bitmaps with precomputed set sizes — the Figure 5 page-union math.
+func bitmapJaccard(a, b []bool, na, nb int) float64 {
+	if na == 0 && nb == 0 {
+		return 0
+	}
+	m := len(a)
+	if len(b) < m {
+		m = len(b)
+	}
+	inter := 0
+	for p := 0; p < m; p++ {
+		if a[p] && b[p] {
+			inter++
+		}
+	}
+	return float64(inter) / float64(na+nb-inter)
 }
 
 // Matrices returns the Figure 5 matrices (valid after Finalize).
@@ -598,14 +621,16 @@ func (j *CrawlJaccardAggregator) Restore(data []byte) error {
 		return fmt.Errorf("analysis: crawl jaccard state covers %d campaigns, roster has %d", len(st.Pages), len(j.campaigns))
 	}
 	for i := range j.campaigns {
+		for _, pg := range st.Pages[i] {
+			if pg < 0 {
+				return fmt.Errorf("analysis: crawl jaccard state: negative page ID %d", pg)
+			}
+		}
+	}
+	for i := range j.campaigns {
 		j.pageSeen[i] = nil
 		for _, pg := range st.Pages[i] {
-			if int(pg) >= len(j.pageSeen[i]) {
-				grown := make([]bool, int(pg)+1)
-				copy(grown, j.pageSeen[i])
-				j.pageSeen[i] = grown
-			}
-			j.pageSeen[i][pg] = true
+			j.pageSeen[i] = markPage(j.pageSeen[i], pg)
 		}
 		j.users[i] = make(map[socialnet.UserID]struct{}, len(st.Users[i]))
 		for _, u := range st.Users[i] {
@@ -649,6 +674,56 @@ func (a *CrawlAnalyzer) Aggregators() []CrawlAggregator {
 	return []CrawlAggregator{a.Geo, a.Demo, a.Window, a.CDF, a.Jaccard}
 }
 
+// ObserveStore is the in-process crawl: it feeds the family from a
+// local store exactly what an HTTP crawl of the same world observes.
+// Every event of each distinct roster page's like stream goes to
+// ObserveLike; every distinct page liker and every baseline user goes
+// to ObserveProfile exactly once, with PageLikes the user's full
+// page-like list. The aggregators are order-insensitive folds, so the
+// list is read in append order — unsorted, uncached — into one reused
+// buffer, and the whole fold runs serially.
+func (a *CrawlAnalyzer) ObserveStore(st *socialnet.Store) error {
+	aggs := a.Aggregators()
+	crawled := make(map[socialnet.PageID]bool, len(a.Campaigns))
+	seen := make(map[socialnet.UserID]bool)
+	var users []socialnet.UserID
+	visit := func(u socialnet.UserID) {
+		if !seen[u] {
+			seen[u] = true
+			users = append(users, u)
+		}
+	}
+	for _, c := range a.Campaigns {
+		if crawled[c.Page] {
+			continue
+		}
+		crawled[c.Page] = true
+		events, _ := st.PageEventsSince(c.Page, 0)
+		for _, ev := range events {
+			for _, agg := range aggs {
+				agg.ObserveLike(ev.Page, ev.User, ev.At)
+			}
+			visit(ev.User)
+		}
+	}
+	for _, u := range a.CDF.baseline {
+		visit(u)
+	}
+	var pages []socialnet.PageID
+	for _, u := range users {
+		usr, err := st.User(u)
+		if err != nil {
+			return fmt.Errorf("analysis: profile: %w", err)
+		}
+		pages = st.AppendPagesOfUser(pages[:0], u)
+		p := CrawlProfile{User: u, Gender: usr.Gender, Age: usr.Age, Country: usr.Country, PageLikes: pages}
+		for _, agg := range aggs {
+			agg.ObserveProfile(p)
+		}
+	}
+	return nil
+}
+
 // Tables finalizes every aggregator and assembles the §4 table set.
 func (a *CrawlAnalyzer) Tables() (CrawlTables, error) {
 	for _, agg := range a.Aggregators() {
@@ -671,19 +746,19 @@ func (a *CrawlAnalyzer) Tables() (CrawlTables, error) {
 }
 
 // CrawlTables is the crawl-comparable subset of the §4 artifacts: the
-// tables both analysis engines can compute. The journal engine's
-// Results reduce to the same shape (core.Results.CrawlTables), which
-// is what the crawl-vs-journal equivalence tests and the CI smoke
-// compare byte-for-byte.
+// tables both an HTTP crawl and the in-process study compute with this
+// family. A study's Results reduce to the same shape
+// (core.Results.CrawlTables), which is what the crawl-vs-study
+// equivalence tests and the CI smoke compare byte-for-byte.
 type CrawlTables struct {
 	// Campaigns lists the roster IDs in finalize order.
 	Campaigns []string
-	Geo       []GeoRow       // Figure 1
-	Demo      []DemoRow      // Table 2
-	Windows   []WindowStats  // Figure 2 at 2-hour granularity
-	CDFs      []PageLikeCDF  // Figure 4
-	PageSim   [][]float64    // Figure 5(a)
-	UserSim   [][]float64    // Figure 5(b)
+	Geo       []GeoRow      // Figure 1
+	Demo      []DemoRow     // Table 2
+	Windows   []WindowStats // Figure 2 at 2-hour granularity
+	CDFs      []PageLikeCDF // Figure 4
+	PageSim   [][]float64   // Figure 5(a)
+	UserSim   [][]float64   // Figure 5(b)
 }
 
 // MarshalStable renders the tables as deterministic JSON: every field

@@ -232,3 +232,25 @@ func TestCrawlStateSurvivesFinalize(t *testing.T) {
 		t.Fatalf("post-finalize snapshot diverges:\n%s\nvs\n%s", got, want)
 	}
 }
+
+// TestCrawlAggregatorRestoreRejectsCorruptState: Restore decodes
+// checkpoint files and shard exports, so hostile bytes must surface as
+// errors — never as a panic — both directly and through MergeState.
+func TestCrawlAggregatorRestoreRejectsCorruptState(t *testing.T) {
+	roster := []CrawlCampaign{{ID: "A", Page: 100, Active: true}}
+	for _, tc := range []struct {
+		name  string
+		state string
+	}{
+		{"negative page", `{"pages":[[-5]],"users":[[]]}`},
+		{"negative page after valid", `{"pages":[[3,-1]],"users":[[1]]}`},
+		{"not json", `{"pages":`},
+	} {
+		if err := NewCrawlJaccardAggregator(roster).Restore([]byte(tc.state)); err == nil {
+			t.Errorf("%s: Restore accepted %s", tc.name, tc.state)
+		}
+		if err := NewCrawlJaccardAggregator(roster).MergeState([]byte(tc.state)); err == nil {
+			t.Errorf("%s: MergeState accepted %s", tc.name, tc.state)
+		}
+	}
+}

@@ -142,15 +142,9 @@ func (j *CrawlJaccardAggregator) MergeState(data []byte) error {
 	}
 	for i := range j.campaigns {
 		for pg, ok := range peer.pageSeen[i] {
-			if !ok {
-				continue
+			if ok {
+				j.pageSeen[i] = markPage(j.pageSeen[i], socialnet.PageID(pg))
 			}
-			if pg >= len(j.pageSeen[i]) {
-				grown := make([]bool, pg+1)
-				copy(grown, j.pageSeen[i])
-				j.pageSeen[i] = grown
-			}
-			j.pageSeen[i][pg] = true
 		}
 		for u := range peer.users[i] {
 			j.users[i][u] = struct{}{}

@@ -21,7 +21,7 @@ type PageLikeCDF struct {
 }
 
 // newPageLikeCDF assembles one Figure 4 row from per-user page-like
-// counts. Shared between the batch scan and the streaming aggregator.
+// counts.
 func newPageLikeCDF(id string, counts []float64) (PageLikeCDF, error) {
 	e, err := stats.NewECDF(counts)
 	if err != nil {
@@ -43,41 +43,6 @@ func newPageLikeCDF(id string, counts []float64) (PageLikeCDF, error) {
 		CampaignID: id, N: len(counts),
 		Median: med, P90: p90, Max: max, ECDF: e,
 	}, nil
-}
-
-// PageLikeCDFs computes Figure 4 for the active campaigns, plus the
-// baseline sample labelled "Facebook" when baseline is non-empty.
-func PageLikeCDFs(st *socialnet.Store, campaigns []Campaign, baseline []socialnet.UserID) ([]PageLikeCDF, error) {
-	var out []PageLikeCDF
-	build := func(id string, users []socialnet.UserID) error {
-		if len(users) == 0 {
-			return nil
-		}
-		counts := make([]float64, len(users))
-		for i, u := range users {
-			counts[i] = float64(st.LikeCountOfUser(u))
-		}
-		row, err := newPageLikeCDF(id, counts)
-		if err != nil {
-			return err
-		}
-		out = append(out, row)
-		return nil
-	}
-	for _, c := range campaigns {
-		if !c.Active {
-			continue
-		}
-		if err := build(c.ID, c.Likers); err != nil {
-			return nil, err
-		}
-	}
-	if len(baseline) > 0 {
-		if err := build("Facebook", baseline); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // BaselineSample draws n users uniformly from the public directory — the
@@ -103,48 +68,10 @@ func BaselineSample(r *rand.Rand, st *socialnet.Store, n int) ([]socialnet.UserI
 	return out, nil
 }
 
-// JaccardMatrices computes Figure 5: the pairwise Jaccard similarity of
-// campaigns' page-like unions (a) and liker sets (b), scaled by 100 as
-// in the paper's heatmaps. Inactive campaigns contribute empty sets (zero
-// rows/columns). The matrix is indexed by the campaigns slice order.
-func JaccardMatrices(st *socialnet.Store, campaigns []Campaign) (pageSim, userSim [][]float64, err error) {
-	n := len(campaigns)
-	pageSets := make([]map[socialnet.PageID]struct{}, n)
-	userSets := make([]map[socialnet.UserID]struct{}, n)
-	for i, c := range campaigns {
-		pageSets[i] = make(map[socialnet.PageID]struct{})
-		userSets[i] = make(map[socialnet.UserID]struct{})
-		if !c.Active {
-			continue
-		}
-		for _, u := range c.Likers {
-			userSets[i][u] = struct{}{}
-			for _, lk := range st.LikesOfUser(u) {
-				if lk.Page == c.Page {
-					continue // exclude the honeypot page itself
-				}
-				pageSets[i][lk.Page] = struct{}{}
-			}
-		}
-	}
-	pageSim, userSim = jaccardFromSets(campaigns, pageSets, userSets)
-	return pageSim, userSim, nil
-}
-
-// jaccardFromSets turns per-campaign page and liker sets into the
-// Figure 5 similarity matrices.
-func jaccardFromSets(campaigns []Campaign, pageSets []map[socialnet.PageID]struct{}, userSets []map[socialnet.UserID]struct{}) (pageSim, userSim [][]float64) {
-	return similarityMatrices(campaigns,
-		func(a, b int) float64 { return 100 * stats.Jaccard(pageSets[a], pageSets[b]) },
-		func(a, b int) float64 { return 100 * stats.Jaccard(userSets[a], userSets[b]) })
-}
-
 // similarityMatrices assembles the Figure 5 matrix shape — diagonal
 // 100 for active campaigns, 0 rows for inactive ones, symmetric
-// off-diagonal entries from the pairwise callbacks — shared between
-// the batch scan (map sets) and the streaming aggregator (dense
-// bitmaps), so the encoding of the matrix rules cannot diverge.
-func similarityMatrices(campaigns []Campaign, pageSim, userSim func(a, b int) float64) (ps, us [][]float64) {
+// off-diagonal entries from the pairwise callbacks.
+func similarityMatrices(campaigns []CrawlCampaign, pageSim, userSim func(a, b int) float64) (ps, us [][]float64) {
 	n := len(campaigns)
 	ps = make([][]float64, n)
 	us = make([][]float64, n)

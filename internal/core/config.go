@@ -117,14 +117,6 @@ type StudyConfig struct {
 	// account draws from its own RNG stream split from Seed.
 	Workers int
 
-	// Analyses selects the §4 analysis engine. The default
-	// (AnalysisOnePass) streams every aggregator over one canonical
-	// materialization of the store's like-event journal;
-	// AnalysisMultiScan is the legacy engine that scans the store once
-	// per analysis, kept as the regression baseline — both produce
-	// byte-identical Results.
-	Analyses string
-
 	// Terminations selects the fraud-sweep verdict engine for phase 5.
 	// The default (TerminationBatch) scores the likers with the batch
 	// verdict pass; TerminationStream drives the same termination
@@ -135,12 +127,6 @@ type StudyConfig struct {
 	// stream).
 	Terminations string
 }
-
-// Analysis engine modes for StudyConfig.Analyses.
-const (
-	AnalysisOnePass   = ""
-	AnalysisMultiScan = "multiscan"
-)
 
 // Termination engine modes for StudyConfig.Terminations.
 const (
@@ -193,9 +179,6 @@ func (c *StudyConfig) Validate() error {
 	}
 	if c.SweepDelayDays < 1 {
 		return fmt.Errorf("core: sweep delay %d days must be >=1", c.SweepDelayDays)
-	}
-	if c.Analyses != AnalysisOnePass && c.Analyses != AnalysisMultiScan {
-		return fmt.Errorf("core: unknown analysis mode %q", c.Analyses)
 	}
 	if c.Terminations != TerminationBatch && c.Terminations != TerminationStream {
 		return fmt.Errorf("core: unknown termination mode %q", c.Terminations)

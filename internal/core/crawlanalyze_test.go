@@ -25,7 +25,7 @@ func toUserIDs(ids []int64) []socialnet.UserID {
 
 // crawlWorld runs a scaled study and serves its world over HTTP,
 // returning everything the crawl-side analyses need to be compared
-// against the journal engine: the stable journal-table bytes, the
+// against the study: the stable study-table bytes, the
 // crawl roster, the baseline sample, and the campaign page list.
 func crawlWorld(t *testing.T) (srv *httptest.Server, want []byte, roster []analysis.CrawlCampaign, baseline []int64, pages []int64) {
 	t.Helper()
@@ -99,8 +99,8 @@ func newCrawlClient(t *testing.T, srv *httptest.Server) *crawler.Client {
 // TestCrawlTablesMatchJournalEngine is the acceptance test for the
 // crawl-to-analysis pipeline: the §4 tables computed by streaming
 // crawled profiles into the crawl aggregators — over HTTP, for any
-// worker count — are byte-identical to the journal engine's
-// (analysis.RunPass) tables on the same world.
+// worker count — are byte-identical to the tables the study computes
+// in-process (analysis.CrawlAnalyzer.ObserveStore) on the same world.
 func TestCrawlTablesMatchJournalEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study + HTTP crawl")
@@ -112,7 +112,7 @@ func TestCrawlTablesMatchJournalEngine(t *testing.T) {
 	}{{1, false}, {4, false}, {16, false}, {4, true}} {
 		got := crawlTablesOver(t, srv, roster, baseline, pages, v.workers, v.sequential)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d sequential=%v: crawl-derived tables differ from journal engine\ncrawl:   %.300s\njournal: %.300s",
+			t.Fatalf("workers=%d sequential=%v: crawl-derived tables differ from study tables\ncrawl: %.300s\nstudy: %.300s",
 				v.workers, v.sequential, got, want)
 		}
 	}
@@ -122,7 +122,7 @@ func TestCrawlTablesMatchJournalEngine(t *testing.T) {
 // context cancellation after a fixed number of emitted profiles),
 // persists the checkpoint — including the aggregator state —, resumes
 // with a fresh pipeline and a restored sink, and requires the finished
-// tables to be byte-identical to the journal engine's. This is the
+// tables to be byte-identical to the study's. This is the
 // checkpoint/resume half of the determinism contract.
 func TestCrawlTablesSurviveKillAndResume(t *testing.T) {
 	if testing.Short() {
@@ -182,6 +182,6 @@ func TestCrawlTablesSurviveKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("resumed crawl tables differ from journal engine\ncrawl:   %.300s\njournal: %.300s", got, want)
+		t.Fatalf("resumed crawl tables differ from study tables\ncrawl: %.300s\nstudy: %.300s", got, want)
 	}
 }

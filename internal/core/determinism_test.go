@@ -70,45 +70,6 @@ func TestRunSeedSensitivity(t *testing.T) {
 	}
 }
 
-// runScaledWithMode is runScaledWithWorkers with an analysis-engine
-// override (the mode is config-local and not rendered into JSON).
-func runScaledWithMode(t *testing.T, seed int64, scale float64, workers int, mode string) []byte {
-	t.Helper()
-	cfg, err := ScaledConfig(seed, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = workers
-	cfg.Analyses = mode
-	s, err := NewStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Config.Workers = 0
-	data, err := res.MarshalJSONStable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestAnalysisEnginesEquivalent: the one-pass streaming engine and the
-// legacy multi-scan engine must render byte-identical Results — the
-// aggregators are a pure re-plumbing of the §4 analyses, not a
-// reinterpretation.
-func TestAnalysisEnginesEquivalent(t *testing.T) {
-	onePass := runScaledWithMode(t, 42, 0.08, 0, AnalysisOnePass)
-	multi := runScaledWithMode(t, 42, 0.08, 0, AnalysisMultiScan)
-	if !bytes.Equal(onePass, multi) {
-		t.Fatalf("analysis engines diverge (one-pass %d bytes, multi-scan %d bytes)",
-			len(onePass), len(multi))
-	}
-}
-
 // TestJournalStatsExported: the run's journal accounting lands in
 // Results and the stable JSON, with per-campaign cursors matching the
 // monitors' consumption.

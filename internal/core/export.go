@@ -92,11 +92,11 @@ func (r *Results) MarshalJSONStable() ([]byte, error) {
 	return json.MarshalIndent(&out, "", " ")
 }
 
-// CrawlTables reduces the journal-engine Results to the §4 table
-// subset an HTTP crawl can also compute (analysis.CrawlTables): geo,
+// CrawlTables reduces the study's Results to the §4 table subset an
+// HTTP crawl can also compute (analysis.CrawlTables): geo,
 // demographics, 2-hour windows, page-like CDFs, and the Jaccard
 // matrices, with the campaign roster IDs in finalize order. The
-// crawl-vs-journal equivalence tests and the CI smoke compare this
+// crawl-vs-study equivalence tests and the CI smoke compare this
 // rendering byte-for-byte against the crawl pipeline's output.
 func (r *Results) CrawlTables() analysis.CrawlTables {
 	t := analysis.CrawlTables{

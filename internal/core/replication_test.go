@@ -20,7 +20,7 @@ import (
 // over HTTP from its journal segments; split the crawl into two shard
 // processes that round-robin their reads across the replicas; merge
 // the shard exports — and require the merged §4 tables byte-identical
-// to the journal engine's on the same world.
+// to the study's on the same world.
 func TestShardedCrawlOverReplicasMatchesJournalEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study + replication + HTTP crawl")
@@ -146,6 +146,6 @@ func TestShardedCrawlOverReplicasMatchesJournalEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("sharded crawl over replicas differs from journal engine\ncrawl:   %.300s\njournal: %.300s", got, want)
+		t.Fatalf("sharded crawl over replicas differs from study tables\ncrawl: %.300s\nstudy: %.300s", got, want)
 	}
 }

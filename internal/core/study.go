@@ -462,6 +462,7 @@ func (s *Study) Finalize() (*Results, error) {
 		return nil, err
 	}
 	aCampaigns := make([]analysis.Campaign, len(states))
+	roster := make([]analysis.CrawlCampaign, len(states))
 	for i, st := range states {
 		aCampaigns[i] = analysis.Campaign{
 			ID:       st.spec.ID,
@@ -470,20 +471,47 @@ func (s *Study) Finalize() (*Results, error) {
 			Likers:   st.summary.Likers,
 			Active:   st.active,
 		}
+		roster[i] = analysis.CrawlCampaign{ID: st.spec.ID, Page: st.page, Active: st.active}
 	}
 
-	// Phase 7 — the §4 analyses. The default engine streams every
-	// aggregator over ONE canonical materialization of the like-event
-	// journal; the legacy engine re-scans the store once per analysis.
-	// Both are bit-identical (TestAnalysisEnginesEquivalent).
+	// Phase 7 — the §4 analyses. The tables come from the crawl
+	// aggregator family, fed from the store by one serial in-process
+	// crawl (the family an HTTP crawl, its checkpoints and shard merges
+	// use too); the graph analyses, which read the friendship graph,
+	// run alongside on the pool. Tasks write disjoint Results fields,
+	// and the aggregators are order-insensitive folds, so output is
+	// bit-identical for every worker and shard count.
 	res.Groups = analysis.AssignGroups(aCampaigns, FarmAuthenticLikes, FarmMammothSocials)
-	if s.cfg.Analyses == AnalysisMultiScan {
-		err = s.runAnalysesMultiScan(res, aCampaigns, baseline, workers)
-	} else {
-		err = s.runAnalysesOnePass(res, aCampaigns, baseline, workers)
-	}
+	analyzer := analysis.NewCrawlAnalyzer(roster, baseline)
+	base := s.store.FriendGraph()
+	err = parallel.Tasks(workers,
+		func() error {
+			var err error
+			res.Table3, err = analysis.SocialGraphTable(s.store, res.Groups, base)
+			return err
+		},
+		func() error {
+			direct, twoHop := analysis.LikerGraphs(res.Groups, base)
+			res.DirectCensus = analysis.CensusByProvider(res.Groups, direct)
+			res.TwoHopCensus = analysis.CensusByProvider(res.Groups, twoHop)
+			res.CrossEdges = analysis.CrossProviderEdges(res.Groups, direct)
+			return nil
+		},
+		func() error { return analyzer.ObserveStore(s.store) },
+	)
 	if err != nil {
 		return nil, err
+	}
+	tables, err := analyzer.Tables()
+	if err != nil {
+		return nil, err
+	}
+	res.Geo, res.Demo, res.Windows, res.CDFs = tables.Geo, tables.Demo, tables.Windows, tables.CDFs
+	res.PageSim, res.UserSim = tables.PageSim, tables.UserSim
+	// Likes each honeypot page lost to the termination sweep.
+	res.RemovedLikes = make(map[string]int, len(states))
+	for _, st := range states {
+		res.RemovedLikes[st.spec.ID] = s.store.LikeCountOfPage(st.page) - s.store.ActiveLikeCountOfPage(st.page)
 	}
 
 	// Journal accounting: total ingest plus per-campaign stream stats.
@@ -498,119 +526,6 @@ func (s *Study) Finalize() (*Results, error) {
 		}
 	}
 	return res, nil
-}
-
-// runAnalysesOnePass is the streaming analysis engine: one canonical
-// pass over the journal feeds every like-scan aggregator, while the
-// graph analyses (which read the friendship graph, not like events) run
-// alongside on the same pool. Determinism: the canonical event order is
-// a pure function of the events themselves (socialnet journal
-// contract), each aggregator folds that sequence serially, and tasks
-// write disjoint Results fields — so output is bit-identical for every
-// worker and shard count.
-func (s *Study) runAnalysesOnePass(res *Results, aCampaigns []analysis.Campaign, baseline []socialnet.UserID, workers int) error {
-	geo := analysis.NewGeoAggregator(s.store, aCampaigns)
-	demo := analysis.NewDemoAggregator(s.store, aCampaigns)
-	win := analysis.NewWindowAggregator(aCampaigns)
-	cdf := analysis.NewPageLikeCDFAggregator(aCampaigns, baseline)
-	jac := analysis.NewJaccardAggregator(aCampaigns)
-	rem := analysis.NewRemovedLikesAggregator(s.store, aCampaigns)
-
-	base := s.store.FriendGraph()
-	err := parallel.Tasks(workers,
-		func() error {
-			var err error
-			res.Table3, err = analysis.SocialGraphTable(s.store, res.Groups, base)
-			return err
-		},
-		func() error {
-			direct, twoHop := analysis.LikerGraphs(res.Groups, base)
-			res.DirectCensus = analysis.CensusByProvider(res.Groups, direct)
-			res.TwoHopCensus = analysis.CensusByProvider(res.Groups, twoHop)
-			res.CrossEdges = analysis.CrossProviderEdges(res.Groups, direct)
-			return nil
-		},
-		func() error {
-			return analysis.RunPass(s.store.Journal(), aCampaigns, baseline, workers,
-				geo, demo, win, cdf, jac, rem)
-		},
-	)
-	if err != nil {
-		return err
-	}
-	res.Geo = geo.Rows()
-	res.Demo = demo.Rows()
-	res.Windows = win.Stats()
-	res.CDFs = cdf.Rows()
-	res.PageSim, res.UserSim = jac.Matrices()
-	res.RemovedLikes = rem.Removed()
-	return nil
-}
-
-// runAnalysesMultiScan is the legacy analysis engine: one full store
-// scan per analysis. Kept as the byte-identical baseline the one-pass
-// engine is benchmarked and regression-tested against.
-func (s *Study) runAnalysesMultiScan(res *Results, aCampaigns []analysis.Campaign, baseline []socialnet.UserID, workers int) error {
-	res.Windows = make([]analysis.WindowStats, len(aCampaigns))
-	removed := make([]int, len(aCampaigns))
-	err := parallel.ForEach(workers, len(aCampaigns), func(i int) error {
-		c := aCampaigns[i]
-		removed[i] = s.store.LikeCountOfPage(c.Page) - s.store.ActiveLikeCountOfPage(c.Page)
-		likes := s.store.LikesOfPage(c.Page)
-		times := make([]time.Time, len(likes))
-		for j, lk := range likes {
-			times[j] = lk.At
-		}
-		ws, err := analysis.WindowAnalysis(c.ID, times)
-		if err != nil {
-			return err
-		}
-		res.Windows[i] = ws
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	res.RemovedLikes = make(map[string]int, len(aCampaigns))
-	for i, c := range aCampaigns {
-		res.RemovedLikes[c.ID] = removed[i]
-	}
-
-	base := s.store.FriendGraph()
-	return parallel.Tasks(workers,
-		func() error {
-			var err error
-			res.Geo, err = analysis.LocationBreakdown(s.store, aCampaigns)
-			return err
-		},
-		func() error {
-			var err error
-			res.Demo, err = analysis.Demographics(s.store, aCampaigns)
-			return err
-		},
-		func() error {
-			var err error
-			res.Table3, err = analysis.SocialGraphTable(s.store, res.Groups, base)
-			return err
-		},
-		func() error {
-			direct, twoHop := analysis.LikerGraphs(res.Groups, base)
-			res.DirectCensus = analysis.CensusByProvider(res.Groups, direct)
-			res.TwoHopCensus = analysis.CensusByProvider(res.Groups, twoHop)
-			res.CrossEdges = analysis.CrossProviderEdges(res.Groups, direct)
-			return nil
-		},
-		func() error {
-			var err error
-			res.CDFs, err = analysis.PageLikeCDFs(s.store, aCampaigns, baseline)
-			return err
-		},
-		func() error {
-			var err error
-			res.PageSim, res.UserSim, err = analysis.JaccardMatrices(s.store, aCampaigns)
-			return err
-		},
-	)
 }
 
 // runCampaign promotes one campaign on its private clock, monitors the

@@ -88,7 +88,7 @@ type journalShard struct {
 //
 // Readers consume the journal two ways: EventsCanonical materializes
 // the whole log in canonical order (cached until the next append) for
-// one-pass analyses, and NewReader returns an incremental cursor that
+// whole-log consumers, and NewReader returns an incremental cursor that
 // delivers each event exactly once for monitors and future disk-backed
 // or multi-process consumers.
 type Journal struct {
@@ -246,60 +246,11 @@ func (j *Journal) EventsCanonical(workers int) []LikeEvent {
 	return j.merged
 }
 
-// EventsWhere returns the journal's events satisfying keep, in
-// shard-canonical order: shards appear in index order, and events are
-// canonically (time, user, page) sorted within each shard's span. The
-// order is a pure function of the event set and the shard count — no
-// scheduling leaks in — but it is NOT globally time-sorted: consumers
-// must either fold order-insensitively or sort their (now filtered,
-// small) slice themselves. Skipping the global merge is deliberate:
-// filtering and per-shard sorting parallelize perfectly on the pool,
-// and the merge was the dominant cost of one-pass analysis.
-//
-// The result is freshly allocated (never cached); keep must be pure,
-// and it runs under a shard read lock, so it must not call back into
-// the journal or store.
-func (j *Journal) EventsWhere(workers int, keep func(LikeEvent) bool) []LikeEvent {
-	parts := make([][]LikeEvent, len(j.shards))
-	_ = parallel.ForEach(workers, len(j.shards), func(i int) error {
-		sh := &j.shards[i]
-		sh.mu.RLock()
-		// Count first so the survivors land in one exact allocation —
-		// keep is a couple of array probes, cheaper than re-growing.
-		n := 0
-		for _, ev := range sh.events {
-			if keep(ev) {
-				n++
-			}
-		}
-		part := make([]LikeEvent, 0, n)
-		for _, ev := range sh.events {
-			if keep(ev) {
-				part = append(part, ev)
-			}
-		}
-		sh.mu.RUnlock()
-		sortEvents(part)
-		parts[i] = part
-		return nil
-	})
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]LikeEvent, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
 // Scan calls fn for every event currently in the journal, shard by
 // shard in index order, events within a shard in append order. The
 // iteration is NOT canonical — use it only for order-insensitive folds
-// (the fraud sweep groups per-account timestamps this way, and the
-// serial analysis pass feeds its aggregators this way, skipping sort
-// and materialization entirely). fn runs under the shard read lock: it
+// (the fraud sweep groups per-account timestamps this way, skipping
+// sort and materialization entirely). fn runs under the shard read lock: it
 // must not append to the journal, but read-only store access is safe —
 // no store write path holds a journal lock and a store lock at once.
 func (j *Journal) Scan(fn func(LikeEvent)) {

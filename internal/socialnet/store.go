@@ -19,14 +19,15 @@ import (
 // streams) are partitioned into shards keyed by ID, so concurrent
 // likers, monitors, and crawlers touching different users/pages never
 // serialize on one mutex. The friendship graph and the public directory
-// are global structures with their own locks. All read accessors return
+// are global structures with their own locks. Read accessors return
 // data in a canonical order (IDs ascending, likes by (time, ID)), so a
 // store filled concurrently reads back identically to one filled
-// serially with the same contents.
+// serially with the same contents — except AppendPagesOfUser, which
+// hands order-insensitive consumers a user's append order.
 //
 // Every like write — AddLike, AddHistory, snapshot replay — also lands
 // in the store's append-only Journal, the single event log streaming
-// consumers (honeypot monitors, one-pass analyses, the fraud sweep)
+// consumers (honeypot monitors, the live scorer, the fraud sweep)
 // read instead of re-scanning the indexes. The user- and page-side like
 // indexes are derived views over that log: convenient per-ID access
 // paths whose contents are always exactly the journal's events.
@@ -149,7 +150,7 @@ func (s *Store) NumShards() int { return len(s.userShards) }
 // Journal returns the store's append-only like-event log. The journal
 // is the single write path: every like recorded through the store is in
 // it, in append order per shard, and streaming consumers (monitors,
-// one-pass analyses, the fraud sweep) read it instead of re-scanning
+// the live scorer, the fraud sweep) read it instead of re-scanning
 // the derived indexes.
 func (s *Store) Journal() *Journal { return s.journal }
 
@@ -584,6 +585,21 @@ func (s *Store) FriendsPage(u UserID, cursor int64, limit int) ([]UserID, int64)
 		next = int64(out[len(out)-1]) + 1
 	}
 	return out, next
+}
+
+// AppendPagesOfUser appends the pages the user likes to dst, in the
+// user's append order, and returns the extended slice. Unlike
+// LikesOfUser it neither sorts nor caches, so an order-insensitive
+// consumer (the §4 table driver) reads a liker's page list for the
+// cost of one copy into a reusable buffer.
+func (s *Store) AppendPagesOfUser(dst []PageID, u UserID) []PageID {
+	sh := s.userShard(u)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for _, lk := range sh.likesByUser[u] {
+		dst = append(dst, lk.Page)
+	}
+	return dst
 }
 
 // LikeCountOfUser returns the number of pages the user likes.

@@ -103,6 +103,36 @@ func TestLikesOrderedByTime(t *testing.T) {
 	}
 }
 
+// TestAppendPagesOfUserAppendOrder: the unsorted accessor appends the
+// user's pages — campaign likes and imported history alike — in append
+// order after dst's existing contents, without touching the sorted view.
+func TestAppendPagesOfUserAppendOrder(t *testing.T) {
+	s := NewStore()
+	u := s.AddUser(newUser())
+	var pages []PageID
+	for i := 0; i < 3; i++ {
+		p, _ := s.AddPage(Page{Name: "p"})
+		pages = append(pages, p)
+	}
+	if err := s.AddLike(u, pages[2], t0.Add(2*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddHistory(u, []Like{{Page: pages[0], At: t0.Add(time.Hour)}, {Page: pages[1], At: t0}}); err != nil {
+		t.Fatal(err)
+	}
+	got := s.AppendPagesOfUser([]PageID{99}, u)
+	want := []PageID{99, pages[2], pages[0], pages[1]}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("AppendPagesOfUser = %v, want %v", got, want)
+	}
+	if sorted := s.LikesOfUser(u); sorted[0].Page != pages[1] {
+		t.Fatalf("sorted view changed: %v", sorted)
+	}
+	if got := s.AppendPagesOfUser(nil, s.AddUser(newUser())); len(got) != 0 {
+		t.Fatalf("user without likes = %v", got)
+	}
+}
+
 func TestTerminatedCannotLike(t *testing.T) {
 	s := NewStore()
 	u := s.AddUser(newUser())
