@@ -244,9 +244,21 @@ func runFollower(cfg followerConfig, stderr io.Writer, serve func(addr string, h
 		stopScorer func()
 		apiSrv     *api.Server
 		handler    http.Handler
+		// inflight counts the replica's in-flight handlers: each holds
+		// a read lock for its whole run, and closing the store takes
+		// the write lock, so a close waits for the handlers already
+		// reading the store and never overlaps one.
+		inflight sync.RWMutex
 		// dead marks a replica whose store was closed by a failed
 		// re-bootstrap: shutdown must not checkpoint or re-close it.
 		dead bool
+	}
+	// closeDrained closes a replica's store once its in-flight handlers
+	// have drained.
+	closeDrained := func(r *replica) error {
+		r.inflight.Lock()
+		defer r.inflight.Unlock()
+		return r.fw.Close()
 	}
 	// The replica scores fraud locally from its own shipped journal —
 	// read capacity scales with replicas, verdicts included.
@@ -261,7 +273,10 @@ func runFollower(cfg followerConfig, stderr io.Writer, serve func(addr string, h
 	var live atomic.Pointer[replica]
 	live.Store(openReplica(fw))
 	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		live.Load().handler.ServeHTTP(w, r)
+		rep := live.Load()
+		rep.inflight.RLock()
+		defer rep.inflight.RUnlock()
+		rep.handler.ServeHTTP(w, r)
 	})
 
 	// Tail loop: poll the leader until shutdown. A replication gap
@@ -304,15 +319,13 @@ func runFollower(cfg followerConfig, stderr io.Writer, serve func(addr string, h
 				rebootstrapped = true
 				fmt.Fprintf(stderr, "honeypotd: replication gap: %v; re-bootstrapping from the leader's current snapshot\n", err)
 				cur.stopScorer()
-				if cerr := cur.fw.Close(); cerr != nil {
+				if cerr := closeDrained(cur); cerr != nil {
 					fmt.Fprintf(stderr, "honeypotd: close gapped replica: %v\n", cerr)
 				}
 				fw2, _, rerr := socialnet.RebootstrapFollower(context.Background(), cfg.dataDir, src, socialnet.FollowerOptions{WAL: opts})
 				if rerr != nil {
 					fmt.Fprintf(stderr, "honeypotd: re-bootstrap: %v (delete %s and restart)\n", rerr, cfg.dataDir)
-					deadCopy := *cur
-					deadCopy.dead = true
-					live.Store(&deadCopy)
+					cur.dead = true
 					cur.apiSrv.SetHealthError(fmt.Sprintf("replication tail dead: re-bootstrap failed: %v", rerr))
 					return
 				}
@@ -335,7 +348,7 @@ func runFollower(cfg followerConfig, stderr io.Writer, serve func(addr string, h
 		if err := cur.fw.Checkpoint(); err != nil {
 			fmt.Fprintf(stderr, "honeypotd: final checkpoint: %v\n", err)
 		}
-		if err := cur.fw.Close(); err != nil {
+		if err := closeDrained(cur); err != nil {
 			fmt.Fprintf(stderr, "honeypotd: close journal: %v\n", err)
 		}
 	}

@@ -168,10 +168,22 @@ const (
 	lockstepTickPagePool = 16384 // pre-registered tick pages (tracking is fixed at scorer creation)
 )
 
+// lockstepBench is a consumed lockstep backlog: the store, the scorer
+// that has consumed it, the backlog pages, a cohort of enrolled users,
+// the pre-registered tick pages and the first instant past the backlog.
+type lockstepBench struct {
+	st     *socialnet.Store
+	s      *StreamScorer
+	hps    []socialnet.PageID
+	cohort []socialnet.UserID
+	pool   []socialnet.PageID
+	start  time.Time
+}
+
 // benchLockstepWorld builds a store whose WHOLE backlog is
 // sketch-relevant (honeypot likes) and a scorer that has consumed it,
 // plus a cohort of enrolled users for the steady-state ticks.
-func benchLockstepWorld(tb testing.TB, backlog int) (*socialnet.Store, *StreamScorer, []socialnet.UserID, []socialnet.PageID, time.Time) {
+func benchLockstepWorld(tb testing.TB, backlog int) lockstepBench {
 	tb.Helper()
 	st := socialnet.NewStore()
 	hps := make([]socialnet.PageID, lockstepBenchPages)
@@ -216,26 +228,47 @@ func benchLockstepWorld(tb testing.TB, backlog int) (*socialnet.Store, *StreamSc
 	// measured ticks — read as backlog-dependent cost when it is not.
 	runtime.GC()
 	start := t0.Add(time.Duration(nUsers*lockstepBenchPages+1) * 15 * time.Minute).Add(24 * time.Hour)
-	return st, s, users[:benchTickLikes], pool, start
+	return lockstepBench{st: st, s: s, hps: hps, cohort: users[:benchTickLikes], pool: pool, start: start}
 }
 
 // benchLockstepTick has every cohort user like one of tick i's tracked
 // pages, all stamped with the identical instant, and consumes the batch
 // in one tick.
-func benchLockstepTick(tb testing.TB, st *socialnet.Store, s *StreamScorer, cohort []socialnet.UserID, pool []socialnet.PageID, at time.Time, i int) {
+func benchLockstepTick(tb testing.TB, w lockstepBench, i int) {
 	tb.Helper()
 	lo := i * lockstepTickPages
-	if lo+lockstepTickPages > len(pool) {
-		tb.Fatalf("tick %d exhausts the %d-page pool; raise lockstepTickPagePool", i, len(pool))
+	if lo+lockstepTickPages > len(w.pool) {
+		tb.Fatalf("tick %d exhausts the %d-page pool; raise lockstepTickPagePool", i, len(w.pool))
 	}
-	pages := pool[lo : lo+lockstepTickPages]
-	for j, u := range cohort {
-		if err := st.AddLike(u, pages[j%lockstepTickPages], at); err != nil {
+	pages := w.pool[lo : lo+lockstepTickPages]
+	at := w.start.Add(time.Duration(i) * 3 * time.Hour)
+	for j, u := range w.cohort {
+		if err := w.st.AddLike(u, pages[j%lockstepTickPages], at); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	if got := s.Tick(); got != len(cohort) {
-		tb.Fatalf("tick consumed %d of %d fresh likes", got, len(cohort))
+	if got := w.s.Tick(); got != len(w.cohort) {
+		tb.Fatalf("tick consumed %d of %d fresh likes", got, len(w.cohort))
+	}
+}
+
+// benchVerdictRead is one farm like's path to its verdict: a fresh
+// account likes one backlog page — round-robin over the pages at the
+// backlog's own 15-minute stride, so each like shares its window bin
+// with co-likers — one tick consumes it, and the account's Verdict is
+// read at once. The read must not pay for the backlog's pairs.
+func benchVerdictRead(tb testing.TB, w lockstepBench, i int) {
+	tb.Helper()
+	u := w.st.AddUser(socialnet.User{Country: "TR"})
+	p := w.hps[i%len(w.hps)]
+	if err := w.st.AddLike(u, p, w.start.Add(time.Duration(i)*15*time.Minute)); err != nil {
+		tb.Fatal(err)
+	}
+	if got := w.s.Tick(); got != 1 {
+		tb.Fatalf("tick consumed %d of 1 fresh like", got)
+	}
+	if _, ok := w.s.Verdict(u); !ok {
+		tb.Fatalf("fresh liker %d not enrolled", u)
 	}
 }
 
@@ -247,39 +280,66 @@ func BenchmarkStreamLockstepTick(b *testing.B) {
 	for _, backlog := range []int{10_000, 100_000, 500_000} {
 		backlog := backlog
 		b.Run(fmt.Sprintf("backlog=%d/incremental", backlog), func(b *testing.B) {
-			st, s, cohort, pool, start := benchLockstepWorld(b, backlog)
+			w := benchLockstepWorld(b, backlog)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchLockstepTick(b, st, s, cohort, pool, start.Add(time.Duration(i)*3*time.Hour), i)
+				benchLockstepTick(b, w, i)
+			}
+		})
+	}
+}
+
+// BenchmarkStreamLockstepVerdictRead pins a fresh account's like →
+// tick → Verdict read to cost that does not grow with the consumed
+// backlog: the lockstep group report must not be re-derived from every
+// co-acting pair on the read.
+func BenchmarkStreamLockstepVerdictRead(b *testing.B) {
+	for _, backlog := range []int{10_000, 100_000, 500_000} {
+		backlog := backlog
+		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
+			w := benchLockstepWorld(b, backlog)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchVerdictRead(b, w, i)
 			}
 		})
 	}
 }
 
 // TestEmitLockstepBenchJSON, gated behind LOCKSTEP_BENCH_JSON=<path>,
-// runs the lockstep tick benchmark across backlog depths through
-// testing.Benchmark and writes ns/op per depth as JSON. CI uploads the
-// file as an artifact and gates on the 500k/10k flatness ratio.
+// runs the lockstep tick and verdict-read benchmarks across backlog
+// depths through testing.Benchmark and writes ns/op per case and depth
+// as JSON. CI uploads the file as an artifact and gates each case on
+// its 500k/10k flatness ratio.
 func TestEmitLockstepBenchJSON(t *testing.T) {
 	path := os.Getenv("LOCKSTEP_BENCH_JSON")
 	if path == "" {
 		t.Skip("set LOCKSTEP_BENCH_JSON=<path> to emit the lockstep benchmark artifact")
 	}
+	cases := []struct {
+		name string
+		op   func(testing.TB, lockstepBench, int)
+	}{
+		{"BenchmarkStreamLockstepTickIncremental", benchLockstepTick},
+		{"BenchmarkStreamLockstepVerdictRead", benchVerdictRead},
+	}
 	var results []detectBenchResult
-	for _, backlog := range []int{10_000, 100_000, 500_000} {
-		backlog := backlog
-		br := testing.Benchmark(func(b *testing.B) {
-			st, s, cohort, pool, start := benchLockstepWorld(b, backlog)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchLockstepTick(b, st, s, cohort, pool, start.Add(time.Duration(i)*3*time.Hour), i)
-			}
-		})
-		results = append(results, detectBenchResult{
-			Name:    "BenchmarkStreamLockstepTickIncremental",
-			Backlog: backlog,
-			NsPerOp: br.NsPerOp(),
-		})
+	for _, c := range cases {
+		for _, backlog := range []int{10_000, 100_000, 500_000} {
+			backlog := backlog
+			br := testing.Benchmark(func(b *testing.B) {
+				w := benchLockstepWorld(b, backlog)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.op(b, w, i)
+				}
+			})
+			results = append(results, detectBenchResult{
+				Name:    c.name,
+				Backlog: backlog,
+				NsPerOp: br.NsPerOp(),
+			})
+		}
 	}
 	raw, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {

@@ -93,27 +93,28 @@ func AttachLockstep(verdicts []Verdict, groups []LockstepGroup) {
 
 // Lockstep runs the detector over the given pages' like streams.
 //
-// It is the batch driver over the same core the StreamScorer maintains
-// live: fold each page's likes (already sorted by time) into a
-// coactionSketch, then derive groups with groupsFromSketches. The
-// streaming path folds the identical events into identical sketches
+// It is the batch driver over the same lockstepIndex the StreamScorer
+// maintains live: fold each page's likes (already sorted by time) into
+// a coactionSketch, install it, and read the report. The streaming
+// path folds the identical events into identical sketches
 // incrementally, so the two engines' group lists match byte for byte
 // at any quiescent point.
 func Lockstep(st *socialnet.Store, pages []socialnet.PageID, cfg LockstepConfig) ([]LockstepGroup, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sketches := make(map[socialnet.PageID]*coactionSketch, len(pages))
+	x := newLockstepIndex(cfg)
 	for _, pid := range pages {
-		if _, dup := sketches[pid]; dup {
+		if _, dup := x.sketches[pid]; dup {
 			continue
 		}
-		sk := newCoactionSketch(int64(cfg.Window), cfg.MaxBucketUsers)
+		sk := x.newSketch()
 		for _, lk := range st.LikesOfPage(pid) {
 			// LikesOfPage is sorted by (time, user): always in order.
 			sk.observe(lk.User, lk.At.UnixNano())
+			x.liked(lk.User, pid)
 		}
-		sketches[pid] = sk
+		x.install(pid, sk)
 	}
-	return groupsFromSketches(sketches, cfg), nil
+	return x.report(), nil
 }

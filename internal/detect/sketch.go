@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -65,6 +66,13 @@ type coactionSketch struct {
 	// pairs counts, per unordered user pair, the bins whose kept sets
 	// contain both. pairs[k] > 0 <=> the pair co-acts on this page.
 	pairs map[pairKey]int
+	// flip, when set, hears every pair whose count moves between 0 and
+	// 1 in either direction — the page-level co-action changes the
+	// owning lockstepIndex keeps its qualified pairs by — batched per
+	// member: u's pairs with each of vs switched on (or off). ons and
+	// offs are the reused batch buffers.
+	flip      func(u socialnet.UserID, vs []socialnet.UserID, on bool)
+	ons, offs []socialnet.UserID
 }
 
 func newCoactionSketch(window int64, capUsers int) *coactionSketch {
@@ -107,57 +115,236 @@ func (s *coactionSketch) observe(u socialnet.UserID, atNS int64) bool {
 	}
 	// u joined the kept set; pair it with every other member, and
 	// retire the evictee's pairs with those same members in one sweep.
+	report := s.flip != nil
+	ons, offs := s.ons[:0], s.offs[:0]
 	for _, v := range b {
 		if v == u {
 			continue
 		}
-		s.pairs[makePair(u, v)]++
+		k := makePair(u, v)
+		if s.pairs[k]++; s.pairs[k] == 1 && report {
+			ons = append(ons, v)
+		}
 		if hasEvict {
 			k := makePair(evicted, v)
 			if s.pairs[k]--; s.pairs[k] == 0 {
 				delete(s.pairs, k)
+				if report {
+					offs = append(offs, v)
+				}
 			}
 		}
+	}
+	if report {
+		if len(ons) > 0 {
+			s.flip(u, ons, true)
+		}
+		if len(offs) > 0 {
+			s.flip(evicted, offs, false)
+		}
+		s.ons, s.offs = ons, offs
 	}
 	return true
 }
 
-// groupsFromSketches is the shared back half of lockstep detection:
-// given each candidate page's co-action sketch, count distinct pages
-// per co-acting pair, union pairs meeting MinPages, and report
-// components of MinUsers or more. Groups are sorted by their smallest
-// member, users and pages ascending — a pure function of the sketches,
-// so the batch and streaming drivers produce byte-identical output.
-func groupsFromSketches(sketches map[socialnet.PageID]*coactionSketch, cfg LockstepConfig) []LockstepGroup {
-	pairPages := make(map[pairKey]map[socialnet.PageID]struct{})
-	for pid, sk := range sketches {
-		for k, n := range sk.pairs {
-			if n <= 0 {
-				continue
+// lockstepIndex is the one lockstep engine: the per-page co-action
+// sketches plus the small index that says when their group report can
+// change. Only pairs co-acting on at least MinPages pages — the
+// qualified pairs — ever reach the union-find, so the index keeps just
+// that set. A sketch reports each pair whose page-level co-action
+// switches on or off; a probe of the pair's other pages then decides
+// whether it is, or was, qualified. The report goes stale only when a
+// qualified pair appears, disappears, or gains or loses a page, and a
+// recompute walks the qualified pairs alone. A like whose new pairs
+// all sit on fewer than MinPages pages — every like of an account with
+// fewer than MinPages tracked likes — leaves the report as it is.
+//
+// The batch Lockstep pass and the StreamScorer both drive it, so their
+// reports are one function of the same sketches.
+type lockstepIndex struct {
+	cfg      LockstepConfig
+	sketches map[socialnet.PageID]*coactionSketch
+	// userPages lists, per user, the sketched pages the user liked — a
+	// superset of the pages whose kept buckets hold the user, so a pair
+	// is probed on the shorter of its two users' lists and no
+	// cross-page pair map is ever built.
+	userPages map[socialnet.UserID][]socialnet.PageID
+	// partners holds the qualified pairs (co-acting on >= MinPages
+	// pages) as each user's sorted qualified partners, both ways round:
+	// a sketch's flip batch shares one user, so it costs one lookup
+	// here and then searches in a short list.
+	partners map[socialnet.UserID][]socialnet.UserID
+	// stale is set when the qualified pairs' page sets change; report
+	// clears it.
+	stale bool
+}
+
+func newLockstepIndex(cfg LockstepConfig) *lockstepIndex {
+	return &lockstepIndex{
+		cfg:       cfg,
+		sketches:  make(map[socialnet.PageID]*coactionSketch),
+		userPages: make(map[socialnet.UserID][]socialnet.PageID),
+		partners:  make(map[socialnet.UserID][]socialnet.UserID),
+		stale:     true,
+	}
+}
+
+// newSketch returns an empty sketch of the index's shape, not yet
+// installed: rebuilds fold into one off to the side, then install it.
+func (x *lockstepIndex) newSketch() *coactionSketch {
+	return newCoactionSketch(int64(x.cfg.Window), x.cfg.MaxBucketUsers)
+}
+
+// liked records that u liked page p. Each (user, page) like must be
+// recorded once, before its fold reaches an installed sketch — the
+// probes need the list to cover every page whose sketch keeps u.
+func (x *lockstepIndex) liked(u socialnet.UserID, p socialnet.PageID) {
+	x.userPages[u] = append(x.userPages[u], p)
+}
+
+// observe folds one like into page p's live sketch, creating it on
+// first use. Like coactionSketch.observe it returns false, changing
+// nothing, for an out-of-order like: the caller rebuilds the page and
+// installs the result.
+func (x *lockstepIndex) observe(p socialnet.PageID, u socialnet.UserID, atNS int64) bool {
+	sk := x.sketches[p]
+	if sk == nil {
+		sk = x.newSketch()
+		x.install(p, sk)
+	}
+	return sk.observe(u, atNS)
+}
+
+// install makes sk page p's live sketch and applies the pair diff
+// against the sketch it replaces (none on a first install), so the
+// qualified pairs follow a rebuilt page exactly. Cost: O(pairs of both
+// sketches) plus one probe per changed pair.
+func (x *lockstepIndex) install(p socialnet.PageID, sk *coactionSketch) {
+	old := x.sketches[p]
+	x.sketches[p] = sk
+	sk.flip = func(u socialnet.UserID, vs []socialnet.UserID, on bool) { x.flipped(p, u, vs, on) }
+	one := make([]socialnet.UserID, 1)
+	if old != nil {
+		old.flip = nil
+		for k := range old.pairs {
+			if sk.pairs[k] == 0 {
+				one[0] = k.b
+				x.flipped(p, k.a, one, false)
 			}
-			m, ok := pairPages[k]
-			if !ok {
-				m = make(map[socialnet.PageID]struct{}, 2)
-				pairPages[k] = m
-			}
-			m[pid] = struct{}{}
 		}
 	}
-	uf := newUnionFind()
-	memberPages := make(map[socialnet.UserID]map[socialnet.PageID]struct{})
-	for k, pgs := range pairPages {
-		if len(pgs) < cfg.MinPages {
+	for k := range sk.pairs {
+		if old == nil || old.pairs[k] == 0 {
+			one[0] = k.b
+			x.flipped(p, k.a, one, true)
+		}
+	}
+}
+
+// flipped applies page p's co-action changes of u's pairs with each of
+// vs: on means a pair now co-acts there, off that it no longer does.
+// The qualified pairs are exact before the call, so membership says
+// whether a pair was qualified; a probe of its other pages, cut off at
+// the count that matters, says whether it is now.
+func (x *lockstepIndex) flipped(p socialnet.PageID, u socialnet.UserID, vs []socialnet.UserID, on bool) {
+	if len(x.userPages[u]) < x.cfg.MinPages {
+		return // u likes too few pages for any of its pairs to qualify
+	}
+	qs := x.partners[u]
+	for _, v := range vs {
+		_, was := slices.BinarySearch(qs, v)
+		k := makePair(u, v)
+		switch {
+		case on && !was:
+			if x.otherPages(p, k, x.cfg.MinPages-1) < x.cfg.MinPages-1 {
+				continue
+			}
+			x.link(u, v)
+			qs = x.partners[u]
+		case !on && !was:
+			continue
+		case !on && x.otherPages(p, k, x.cfg.MinPages) < x.cfg.MinPages:
+			x.unlink(u, v)
+			qs = x.partners[u]
+		}
+		x.stale = true
+	}
+}
+
+// link records the qualified pair {u, v}.
+func (x *lockstepIndex) link(u, v socialnet.UserID) {
+	for _, e := range [2][2]socialnet.UserID{{u, v}, {v, u}} {
+		qs := x.partners[e[0]]
+		i, _ := slices.BinarySearch(qs, e[1])
+		x.partners[e[0]] = slices.Insert(qs, i, e[1])
+	}
+}
+
+// unlink drops the qualified pair {u, v}.
+func (x *lockstepIndex) unlink(u, v socialnet.UserID) {
+	for _, e := range [2][2]socialnet.UserID{{u, v}, {v, u}} {
+		qs := x.partners[e[0]]
+		i, _ := slices.BinarySearch(qs, e[1])
+		if qs = slices.Delete(qs, i, i+1); len(qs) == 0 {
+			delete(x.partners, e[0])
+		} else {
+			x.partners[e[0]] = qs
+		}
+	}
+}
+
+// otherPages counts the pages other than p on which pair k co-acts,
+// stopping once it reaches limit. It probes the shorter of the two
+// users' page lists, newest first: O(pages of the lighter user).
+func (x *lockstepIndex) otherPages(p socialnet.PageID, k pairKey, limit int) int {
+	n := 0
+	if limit <= 0 {
+		return n
+	}
+	pages := x.userPages[k.a]
+	if alt := x.userPages[k.b]; len(alt) < len(pages) {
+		pages = alt
+	}
+	for i := len(pages) - 1; i >= 0; i-- {
+		q := pages[i]
+		if q == p {
 			continue
 		}
-		uf.union(k.a, k.b)
-		for _, u := range []socialnet.UserID{k.a, k.b} {
-			m, ok := memberPages[u]
-			if !ok {
-				m = make(map[socialnet.PageID]struct{})
-				memberPages[u] = m
+		if sk := x.sketches[q]; sk != nil && sk.pairs[k] > 0 {
+			if n++; n == limit {
+				break
 			}
-			for p := range pgs {
-				m[p] = struct{}{}
+		}
+	}
+	return n
+}
+
+// report derives the group report from the qualified pairs: union
+// them, and report components of MinUsers or more. Cost: O(qualified
+// pairs × pages of the lighter user of each). Groups are sorted
+// by their smallest member, users and pages ascending — a pure
+// function of the sketches, so the batch and streaming drivers produce
+// byte-identical output. It clears stale.
+func (x *lockstepIndex) report() []LockstepGroup {
+	x.stale = false
+	uf := newUnionFind()
+	// Each qualified pair is met from both ends; each end adds the
+	// pair's pages to its own user's evidence.
+	memberPages := make(map[socialnet.UserID]map[socialnet.PageID]struct{}, len(x.partners))
+	for a, qs := range x.partners {
+		m := make(map[socialnet.PageID]struct{})
+		memberPages[a] = m
+		for _, b := range qs {
+			uf.union(a, b)
+			k := makePair(a, b)
+			pages := x.userPages[k.a]
+			if alt := x.userPages[k.b]; len(alt) < len(pages) {
+				pages = alt
+			}
+			for _, p := range pages {
+				if sk := x.sketches[p]; sk != nil && sk.pairs[k] > 0 {
+					m[p] = struct{}{}
+				}
 			}
 		}
 	}
@@ -172,7 +359,7 @@ func groupsFromSketches(sketches map[socialnet.PageID]*coactionSketch, cfg Locks
 	}
 	ordered := make([]cluster, 0, len(clusters))
 	for _, us := range clusters {
-		if len(us) < cfg.MinUsers {
+		if len(us) < x.cfg.MinUsers {
 			continue
 		}
 		sort.Slice(us, func(i, j int) bool { return us[i] < us[j] })

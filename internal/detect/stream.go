@@ -3,6 +3,7 @@ package detect
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -60,10 +61,11 @@ type StreamScorerConfig struct {
 // A StreamScorer is safe for concurrent use; Tick and verdict reads
 // serialize on one mutex.
 type StreamScorer struct {
-	st      *socialnet.Store
-	window  time.Duration
-	lockCfg LockstepConfig
-	tracked map[socialnet.PageID]bool
+	st     *socialnet.Store
+	window time.Duration
+	// tracked is the tracked page set, sorted and deduplicated; it is
+	// fixed at construction.
+	tracked []socialnet.PageID
 
 	mu       sync.Mutex
 	reader   *socialnet.Reader
@@ -75,19 +77,20 @@ type StreamScorer struct {
 	pageLikers map[socialnet.PageID]map[socialnet.UserID]bool
 	// islands is the incremental union-find over enrolled accounts.
 	islands *unionFind
-	// sketches holds one co-action sketch per tracked page that has
-	// consumed events — the streaming half of the lockstep detector.
+	// lockstep holds one co-action sketch per tracked page that has
+	// consumed events — the streaming half of the lockstep detector —
+	// and the qualified-pair index that says when its report changes.
 	// dirtyPages marks sketches poisoned by an out-of-order arrival
 	// (a page's likers span shards, so bounded ticks deliver its
 	// events across time order routinely); the tick-end resync
 	// rebuilds them exactly from the reader's consumed prefix.
-	sketches   map[socialnet.PageID]*coactionSketch
+	lockstep   *lockstepIndex
 	dirtyPages map[socialnet.PageID]bool
-	// groups caches the derived lockstep report; groupsStale flips
-	// whenever a sketch changes, and the next verdict read recomputes.
-	groups      []LockstepGroup
-	groupOf     map[socialnet.UserID]LockstepVerdict
-	groupsStale bool
+	// groups caches the derived lockstep report and groupOf its
+	// membership index; a verdict read recomputes both only when the
+	// index says the report went stale.
+	groups  []LockstepGroup
+	groupOf map[socialnet.UserID]LockstepVerdict
 	// offScratch backs the cursor snapshot in MarshalState, reused
 	// across checkpoints so the periodic sidecar write stops allocating
 	// a fresh offsets slice every tick.
@@ -112,27 +115,30 @@ func newStreamScorerShell(st *socialnet.Store, cfg StreamScorerConfig) *StreamSc
 	if pages == nil {
 		pages = st.HoneypotPages()
 	}
-	tracked := make(map[socialnet.PageID]bool, len(pages))
-	for _, p := range pages {
-		tracked[p] = true
-	}
+	tracked := append([]socialnet.PageID(nil), pages...)
+	slices.Sort(tracked)
+	tracked = slices.Compact(tracked)
 	lockCfg := cfg.Lockstep
 	if lockCfg.Validate() != nil {
 		lockCfg = DefaultLockstepConfig()
 	}
 	return &StreamScorer{
-		st:          st,
-		window:      window,
-		lockCfg:     lockCfg,
-		tracked:     tracked,
-		accounts:    make(map[socialnet.UserID]*featureFold),
-		dirty:       make(map[socialnet.UserID]bool),
-		pageLikers:  make(map[socialnet.PageID]map[socialnet.UserID]bool),
-		islands:     newUnionFind(),
-		sketches:    make(map[socialnet.PageID]*coactionSketch),
-		dirtyPages:  make(map[socialnet.PageID]bool),
-		groupsStale: true,
+		st:         st,
+		window:     window,
+		tracked:    tracked,
+		accounts:   make(map[socialnet.UserID]*featureFold),
+		dirty:      make(map[socialnet.UserID]bool),
+		pageLikers: make(map[socialnet.PageID]map[socialnet.UserID]bool),
+		islands:    newUnionFind(),
+		lockstep:   newLockstepIndex(lockCfg),
+		dirtyPages: make(map[socialnet.PageID]bool),
 	}
+}
+
+// isTracked reports whether p is in the tracked page set.
+func (s *StreamScorer) isTracked(p socialnet.PageID) bool {
+	_, ok := slices.BinarySearch(s.tracked, p)
+	return ok
 }
 
 // Tick consumes every journal event appended since the last tick and
@@ -155,25 +161,30 @@ func (s *StreamScorer) TickLimit(max int) int {
 
 // observe folds one event. Events of non-enrolled accounts on
 // untracked pages are skipped in O(1); a tracked-page like enrolls its
-// account (dirty, so the tick-end resync picks up any earlier events
-// the scorer skipped before enrollment — cover history materialized
-// before the honeypot like, likes on other pages, all of it).
+// account (dirty unless the like is the account's first, so the
+// tick-end resync picks up any earlier events the scorer skipped
+// before enrollment — cover history materialized before the honeypot
+// like, likes on other pages, all of it).
 func (s *StreamScorer) observe(ev socialnet.LikeEvent) {
+	tracked := s.isTracked(ev.Page)
 	fold, enrolled := s.accounts[ev.User]
 	if !enrolled {
-		if !s.tracked[ev.Page] {
+		if !tracked {
 			return
 		}
 		s.enroll(ev.User)
 		fold = s.accounts[ev.User]
 	}
-	if s.tracked[ev.Page] {
+	if tracked {
 		likers, ok := s.pageLikers[ev.Page]
 		if !ok {
 			likers = make(map[socialnet.UserID]bool)
 			s.pageLikers[ev.Page] = likers
 		}
-		likers[ev.User] = true
+		if !likers[ev.User] {
+			likers[ev.User] = true
+			s.lockstep.liked(ev.User, ev.Page)
+		}
 		s.observeSketch(ev)
 	}
 	if s.dirty[ev.User] {
@@ -188,25 +199,27 @@ func (s *StreamScorer) observe(ev socialnet.LikeEvent) {
 // sketch, poisoning the page on out-of-order delivery — the tick-end
 // resync rebuilds it from the reader's consumed prefix via ReplayPage.
 func (s *StreamScorer) observeSketch(ev socialnet.LikeEvent) {
-	s.groupsStale = true
 	if s.dirtyPages[ev.Page] {
 		return // resync at tick end rebuilds from the full prefix
 	}
-	sk, ok := s.sketches[ev.Page]
-	if !ok {
-		sk = newCoactionSketch(int64(s.lockCfg.Window), s.lockCfg.MaxBucketUsers)
-		s.sketches[ev.Page] = sk
-	}
-	if !sk.observe(ev.User, ev.At.UnixNano()) {
+	if !s.lockstep.observe(ev.Page, ev.User, ev.At.UnixNano()) {
 		s.dirtyPages[ev.Page] = true
 	}
 }
 
-// enroll registers a new account: a fresh (dirty) fold and a
-// union-find node united with every already-enrolled friend.
+// enroll registers a new account: a fresh fold and a union-find node
+// united with every already-enrolled friend. The fold is marked dirty,
+// for the tick-end replay of the likes the scorer skipped before
+// enrollment, unless the enrolling like is the account's only one: the
+// store appends a like to the user's stream before journaling it, so a
+// one-like stream means the journal holds no other event of u, and the
+// fold of that like alone is the replay's result — a brand-new farm
+// account enrolls in O(1), not O(shard prefix).
 func (s *StreamScorer) enroll(u socialnet.UserID) {
 	s.accounts[u] = &featureFold{window: int64(s.window)}
-	s.dirty[u] = true
+	if s.st.LikeCountOfUser(u) > 1 {
+		s.dirty[u] = true
+	}
 	s.islands.add(u)
 	for _, f := range s.st.FriendsOf(u) {
 		if _, in := s.accounts[f]; in {
@@ -221,26 +234,35 @@ func (s *StreamScorer) enroll(u socialnet.UserID) {
 // out-of-order escape hatch that keeps the incremental fold exact with
 // bounded steady-state memory.
 func (s *StreamScorer) resyncDirty() {
-	for u := range s.dirty {
-		var times []time.Time
-		s.reader.ReplayUser(u, func(ev socialnet.LikeEvent) {
-			times = append(times, ev.At)
-		})
-		fold := foldSorted(ensureSorted(times), s.window)
-		s.accounts[u] = &fold
-		delete(s.dirty, u)
+	// A drained map keeps its buckets, and ranging over it costs its
+	// peak size: each non-empty set is swapped for a fresh map once
+	// resynced, so a setup burst of enrollments is not paid again on
+	// every later tick.
+	if len(s.dirty) > 0 {
+		for u := range s.dirty {
+			var times []time.Time
+			s.reader.ReplayUser(u, func(ev socialnet.LikeEvent) {
+				times = append(times, ev.At)
+			})
+			fold := foldSorted(ensureSorted(times), s.window)
+			s.accounts[u] = &fold
+		}
+		s.dirty = make(map[socialnet.UserID]bool)
 	}
 	// Poisoned page sketches rebuild the same way: ReplayPage delivers
 	// the page's consumed prefix in canonical order, and the sketch is
 	// a pure function of that multiset, so the rebuilt sketch is
 	// exactly what uninterrupted in-order folding would have produced.
-	for p := range s.dirtyPages {
-		sk := newCoactionSketch(int64(s.lockCfg.Window), s.lockCfg.MaxBucketUsers)
-		s.reader.ReplayPage(p, func(ev socialnet.LikeEvent) {
-			sk.observe(ev.User, ev.At.UnixNano())
-		})
-		s.sketches[p] = sk
-		delete(s.dirtyPages, p)
+	// Installing it applies its pair diff against the poisoned sketch.
+	if len(s.dirtyPages) > 0 {
+		for p := range s.dirtyPages {
+			sk := s.lockstep.newSketch()
+			s.reader.ReplayPage(p, func(ev socialnet.LikeEvent) {
+				sk.observe(ev.User, ev.At.UnixNano())
+			})
+			s.lockstep.install(p, sk)
+		}
+		s.dirtyPages = make(map[socialnet.PageID]bool)
 	}
 }
 
@@ -290,13 +312,12 @@ func (s *StreamScorer) verdictLocked(u socialnet.UserID) (Verdict, bool) {
 }
 
 // groupOfLocked returns the membership index for the current sketches,
-// recomputing the cached group report if any sketch changed since the
-// last read. Recomputation folds the co-acting pair sets — already
-// maintained per page — through the same groupsFromSketches back half
-// the batch detector uses.
+// recomputing the cached group report only if a qualified pair changed
+// since the last read — through the same lockstepIndex report the
+// batch detector reads.
 func (s *StreamScorer) groupOfLocked() map[socialnet.UserID]LockstepVerdict {
-	if s.groupsStale {
-		s.groups = groupsFromSketches(s.sketches, s.lockCfg)
+	if s.lockstep.stale {
+		s.groups = s.lockstep.report()
 		s.groupOf = make(map[socialnet.UserID]LockstepVerdict)
 		for gi, g := range s.groups {
 			lv := LockstepVerdict{Group: gi + 1, Size: len(g.Users), Pages: len(g.Pages)}
@@ -304,7 +325,6 @@ func (s *StreamScorer) groupOfLocked() map[socialnet.UserID]LockstepVerdict {
 				s.groupOf[u] = lv
 			}
 		}
-		s.groupsStale = false
 	}
 	return s.groupOf
 }
@@ -338,7 +358,7 @@ func (s *StreamScorer) Accounts() []socialnet.UserID {
 func (s *StreamScorer) PageLikers(p socialnet.PageID) ([]socialnet.UserID, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.tracked[p] {
+	if !s.isTracked(p) {
 		return nil, false
 	}
 	likers := s.pageLikers[p]
@@ -350,15 +370,9 @@ func (s *StreamScorer) PageLikers(p socialnet.PageID) ([]socialnet.UserID, bool)
 	return out, true
 }
 
-// TrackedPages returns the tracked page set, sorted.
-func (s *StreamScorer) TrackedPages() []socialnet.PageID {
-	out := make([]socialnet.PageID, 0, len(s.tracked))
-	for p := range s.tracked {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// TrackedPages returns the tracked page set, sorted. The set is fixed
+// at construction and the slice is shared; callers must not mutate it.
+func (s *StreamScorer) TrackedPages() []socialnet.PageID { return s.tracked }
 
 // Offset returns the scorer's journal high-water mark (total events
 // consumed).
@@ -414,14 +428,14 @@ func (s *StreamScorer) MarshalState() ([]byte, error) {
 		Offsets:          s.offScratch,
 		Accounts:         make(map[string]foldState, len(s.accounts)),
 		PageLikers:       make(map[string][]socialnet.UserID, len(s.pageLikers)),
-		LockstepWindowNS: int64(s.lockCfg.Window),
-		LockstepCap:      s.lockCfg.MaxBucketUsers,
-		Sketches:         make(map[string]sketchState, len(s.sketches)),
+		LockstepWindowNS: int64(s.lockstep.cfg.Window),
+		LockstepCap:      s.lockstep.cfg.MaxBucketUsers,
+		Sketches:         make(map[string]sketchState, len(s.lockstep.sketches)),
 	}
-	for p, sk := range s.sketches {
+	for p, sk := range s.lockstep.sketches {
 		st.Sketches[formatInt(int64(p))] = sk.marshalState()
 	}
-	for _, p := range s.TrackedPagesLocked() {
+	for _, p := range s.tracked {
 		st.Tracked = append(st.Tracked, int64(p))
 	}
 	for u, f := range s.accounts {
@@ -439,16 +453,6 @@ func (s *StreamScorer) MarshalState() ([]byte, error) {
 		st.PageLikers[strconv.FormatInt(int64(p), 10)] = us
 	}
 	return json.MarshalIndent(&st, "", " ")
-}
-
-// TrackedPagesLocked is TrackedPages for callers already holding mu.
-func (s *StreamScorer) TrackedPagesLocked() []socialnet.PageID {
-	out := make([]socialnet.PageID, 0, len(s.tracked))
-	for p := range s.tracked {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // RestoreStreamScorer rebuilds a scorer from MarshalState output
@@ -474,31 +478,32 @@ func RestoreStreamScorer(st *socialnet.Store, cfg StreamScorerConfig, data []byt
 			len(state.Tracked), len(s.tracked))
 	}
 	for _, p := range state.Tracked {
-		if !s.tracked[socialnet.PageID(p)] {
+		if !s.isTracked(socialnet.PageID(p)) {
 			return nil, fmt.Errorf("detect: scorer state tracks page %d, config does not", p)
 		}
 	}
-	if state.LockstepWindowNS != int64(s.lockCfg.Window) {
+	if state.LockstepWindowNS != int64(s.lockstep.cfg.Window) {
 		return nil, fmt.Errorf("detect: scorer state lockstep window %s, config wants %s",
-			time.Duration(state.LockstepWindowNS), s.lockCfg.Window)
+			time.Duration(state.LockstepWindowNS), s.lockstep.cfg.Window)
 	}
-	if state.LockstepCap != s.lockCfg.MaxBucketUsers {
+	if state.LockstepCap != s.lockstep.cfg.MaxBucketUsers {
 		return nil, fmt.Errorf("detect: scorer state lockstep bucket cap %d, config wants %d",
-			state.LockstepCap, s.lockCfg.MaxBucketUsers)
+			state.LockstepCap, s.lockstep.cfg.MaxBucketUsers)
 	}
+	sketches := make(map[socialnet.PageID]*coactionSketch, len(state.Sketches))
 	for key, ss := range state.Sketches {
 		id, err := parseInt(key)
 		if err != nil {
 			return nil, fmt.Errorf("detect: scorer state sketch key %q", key)
 		}
-		if !s.tracked[socialnet.PageID(id)] {
+		if !s.isTracked(socialnet.PageID(id)) {
 			return nil, fmt.Errorf("detect: scorer state sketches untracked page %d", id)
 		}
-		sk, err := restoreSketch(ss, int64(s.lockCfg.Window), s.lockCfg.MaxBucketUsers)
+		sk, err := restoreSketch(ss, int64(s.lockstep.cfg.Window), s.lockstep.cfg.MaxBucketUsers)
 		if err != nil {
 			return nil, err
 		}
-		s.sketches[socialnet.PageID(id)] = sk
+		sketches[socialnet.PageID(id)] = sk
 	}
 	reader, err := st.Journal().ReaderAt(state.Offsets)
 	if err != nil {
@@ -524,9 +529,20 @@ func RestoreStreamScorer(st *socialnet.Store, cfg StreamScorerConfig, data []byt
 		}
 		set := make(map[socialnet.UserID]bool, len(likers))
 		for _, u := range likers {
-			set[u] = true
+			if !set[u] {
+				set[u] = true
+				s.lockstep.liked(u, socialnet.PageID(id))
+			}
 		}
 		s.pageLikers[socialnet.PageID(id)] = set
+	}
+	// One pass over the restored sketches rebuilds the lockstep index:
+	// each install is a diff against no sketch, probing the pages
+	// installed before it.
+	for _, p := range s.tracked {
+		if sk, ok := sketches[p]; ok {
+			s.lockstep.install(p, sk)
+		}
 	}
 	// Rebuild the union-find from the enrolled set in sorted order —
 	// deterministic, and identical to having enrolled incrementally
