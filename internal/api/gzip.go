@@ -2,9 +2,11 @@ package api
 
 import (
 	"compress/gzip"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // GzipMinSize is the body size below which responses are sent
@@ -13,6 +15,28 @@ import (
 // back. Large like-stream and friend-list windows — the crawler's hot
 // responses — compress to a fraction of their wire size.
 const GzipMinSize = 1 << 10
+
+// gzipWriters recycles compressors across responses. A level-6 flate
+// writer carries ~800 KB of window and hash tables, so building one per
+// response made allocation and GC the crawl path's main cost. Reset
+// restores a pooled writer to the state of a fresh one, so the bytes on
+// the wire are the same either way.
+var gzipWriters = sync.Pool{New: func() any {
+	p := new(pooledGzip)
+	p.zw = gzip.NewWriter(p)
+	return p
+}}
+
+// pooledGzip is a pooled compressor that writes through dst. Clearing
+// dst is all it takes to keep the pool from holding a ResponseWriter
+// alive; resetting the compressor onto nil instead would clear its
+// ~640 KB of hash tables a second time per response.
+type pooledGzip struct {
+	zw  *gzip.Writer
+	dst io.Writer
+}
+
+func (p *pooledGzip) Write(b []byte) (int, error) { return p.dst.Write(b) }
 
 // Gzip wraps a handler with negotiated response compression: bodies of
 // at least GzipMinSize are gzip-encoded when the request's
@@ -71,7 +95,7 @@ type gzipResponseWriter struct {
 
 	buf     []byte
 	started bool // headers sent; buf already flushed or handed to gz
-	gz      *gzip.Writer
+	gz      *pooledGzip
 }
 
 // Header implements http.ResponseWriter.
@@ -89,7 +113,7 @@ func (g *gzipResponseWriter) WriteHeader(code int) {
 func (g *gzipResponseWriter) Write(p []byte) (int, error) {
 	if g.started {
 		if g.gz != nil {
-			return g.gz.Write(p)
+			return g.gz.zw.Write(p)
 		}
 		return g.rw.Write(p)
 	}
@@ -118,8 +142,10 @@ func (g *gzipResponseWriter) start(compress, complete bool) error {
 		g.rw.Header().Set("Content-Encoding", "gzip")
 		g.rw.Header().Del("Content-Length") // length of the plain body, now wrong
 		g.rw.WriteHeader(g.code)
-		g.gz = gzip.NewWriter(g.rw)
-		_, err := g.gz.Write(g.buf)
+		g.gz = gzipWriters.Get().(*pooledGzip)
+		g.gz.dst = g.rw
+		g.gz.zw.Reset(g.gz)
+		_, err := g.gz.zw.Write(g.buf)
 		g.buf = nil
 		return err
 	}
@@ -132,13 +158,20 @@ func (g *gzipResponseWriter) start(compress, complete bool) error {
 	return err
 }
 
-// finish flushes whatever path the response took.
+// finish flushes whatever path the response took and hands the
+// compressor back to the pool, detached from the ResponseWriter. A
+// handler that panics never reaches finish; its compressor is left to
+// the garbage collector rather than pooled in an unknown state.
 func (g *gzipResponseWriter) finish() error {
 	if !g.started {
 		return g.start(false, true) // small body: uncompressed, complete
 	}
-	if g.gz != nil {
-		return g.gz.Close()
+	if g.gz == nil {
+		return nil
 	}
-	return nil
+	err := g.gz.zw.Close()
+	g.gz.dst = nil
+	gzipWriters.Put(g.gz)
+	g.gz = nil
+	return err
 }

@@ -390,6 +390,9 @@ func (c *Client) get(ctx context.Context, path string, admin bool, out any) erro
 		}
 		body, err := readBody(resp)
 		resp.Body.Close()
+		if errors.Is(err, errBodyTooLarge) {
+			return fmt.Errorf("%w: %s", err, path)
+		}
 		if err != nil {
 			lastErr = err
 			continue
@@ -449,19 +452,35 @@ func (c *Client) get(ctx context.Context, path string, admin bool, out any) erro
 // a misbehaving server cannot balloon the crawler's memory.
 const maxBody = 16 << 20
 
+// errBodyTooLarge reports a response over maxBody. It is final: the
+// same request would fetch the same oversize body again.
+var errBodyTooLarge = fmt.Errorf("crawler: response body exceeds %d MiB", maxBody>>20)
+
+// gzipReaders recycles decompressors across responses; Reset gives a
+// pooled reader the state of a fresh one, so a corrupt stream leaves
+// nothing behind for the next response.
+var gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+
 // readBody drains a response, transparently gunzipping when the server
-// took the client's Accept-Encoding offer.
+// took the client's Accept-Encoding offer. Both the wire bytes and the
+// decoded bytes are read to one past maxBody, so an oversize body is
+// reported as such instead of being cut off into a JSON syntax error.
 func readBody(resp *http.Response) ([]byte, error) {
-	var r io.Reader = io.LimitReader(resp.Body, maxBody)
+	wire := &io.LimitedReader{R: resp.Body, N: maxBody + 1}
+	var r io.Reader = wire
 	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		gz, err := gzip.NewReader(r)
-		if err != nil {
+		gz := gzipReaders.Get().(*gzip.Reader)
+		defer gzipReaders.Put(gz)
+		if err := gz.Reset(wire); err != nil {
 			return nil, fmt.Errorf("crawler: gzip response: %w", err)
 		}
-		defer gz.Close()
-		r = io.LimitReader(gz, maxBody)
+		r = gz
 	}
-	return io.ReadAll(r)
+	body, err := io.ReadAll(io.LimitReader(r, maxBody+1))
+	if wire.N == 0 || len(body) > maxBody {
+		return nil, errBodyTooLarge
+	}
+	return body, err
 }
 
 // Page fetches a page view.

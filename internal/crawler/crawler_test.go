@@ -1,10 +1,14 @@
 package crawler
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -443,5 +447,103 @@ func TestBackoffCapBoundsRetryLatency(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("8 capped retries took %v; BackoffCap is not bounding the sleeps", elapsed)
+	}
+}
+
+// gzipped compresses p into one gzip member.
+func gzipped(t *testing.T, p []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	zw := gzip.NewWriter(&b)
+	if _, err := zw.Write(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// fakeResponse wraps body as a response with the given Content-Encoding.
+func fakeResponse(body []byte, encoding string) *http.Response {
+	resp := &http.Response{Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(body))}
+	if encoding != "" {
+		resp.Header.Set("Content-Encoding", encoding)
+	}
+	return resp
+}
+
+// TestReadBodyLimit: bodies up to maxBody are read whole; one byte more,
+// plain or once decompressed, is an explicit oversize error rather than
+// a silently truncated body. A gzip stream whose wire bytes alone pass
+// the bound is refused the same way, even when it decodes to nothing.
+func TestReadBodyLimit(t *testing.T) {
+	atLimit := make([]byte, maxBody)
+	for _, enc := range []string{"", "gzip"} {
+		body := atLimit
+		if enc == "gzip" {
+			body = gzipped(t, atLimit)
+		}
+		got, err := readBody(fakeResponse(body, enc))
+		if err != nil || len(got) != maxBody {
+			t.Fatalf("encoding %q: %d-byte body read as %d bytes, err %v", enc, maxBody, len(got), err)
+		}
+	}
+	over := make([]byte, maxBody+1)
+	emptyMember := gzipped(t, nil)
+	for name, resp := range map[string]*http.Response{
+		"plain":        fakeResponse(over, ""),
+		"gzip":         fakeResponse(gzipped(t, over), "gzip"),
+		"gzip on wire": fakeResponse(bytes.Repeat(emptyMember, maxBody/len(emptyMember)+1), "gzip"),
+	} {
+		if _, err := readBody(resp); !errors.Is(err, errBodyTooLarge) {
+			t.Fatalf("%s: oversize body gave %v, want %v", name, err, errBodyTooLarge)
+		}
+	}
+}
+
+// TestOversizeBodyIsFinal: the client reports an oversize 200 as such,
+// naming the bound, and does not retry a body it would only cut again.
+func TestOversizeBodyIsFinal(t *testing.T) {
+	var calls atomic.Int32
+	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(bytes.Repeat([]byte(" "), maxBody+1))
+	}))
+	defer big.Close()
+	cfg := DefaultConfig(big.URL)
+	cfg.MinInterval = 0
+	cfg.Backoff = time.Millisecond
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Page(context.Background(), 1)
+	if !errors.Is(err, errBodyTooLarge) || !strings.Contains(err.Error(), "response body exceeds 16 MiB") {
+		t.Fatalf("err = %v, want the explicit oversize error", err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("oversize body fetched %d times, want 1", calls.Load())
+	}
+}
+
+// TestGzipReaderPoolSurvivesCorruptStreams: a corrupt gzip header or a
+// truncated stream fails its own response only; the pooled reader
+// decodes the next response correctly.
+func TestGzipReaderPoolSurvivesCorruptStreams(t *testing.T) {
+	want := []byte(strings.Repeat(`{"pages":[1,2,3]}`, 200))
+	good := gzipped(t, want)
+	for i, bad := range [][]byte{
+		[]byte("this is not a gzip header"),
+		good[:len(good)/2],
+	} {
+		if _, err := readBody(fakeResponse(bad, "gzip")); err == nil {
+			t.Fatalf("corrupt stream %d decoded without error", i)
+		}
+		got, err := readBody(fakeResponse(good, "gzip"))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("after corrupt stream %d: got %d bytes, err %v", i, len(got), err)
+		}
 	}
 }

@@ -72,9 +72,9 @@ const (
 type task struct {
 	kind   taskKind
 	page   int64
-	cursor int      // probe: the cursor to read from
-	win    *window  // batch: the window the ids belong to
-	ids    []int64  // batch: the users to fetch
+	cursor int     // probe: the cursor to read from
+	win    *window // batch: the window the ids belong to
+	ids    []int64 // batch: the users to fetch
 }
 
 // pageState tracks one page's place in the crawl.
