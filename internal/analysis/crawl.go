@@ -505,6 +505,13 @@ type crawlJaccardState struct {
 	Users [][]socialnet.UserID `json:"users"`
 }
 
+// MaxJaccardPageID is the largest page ID a Jaccard state may list.
+// The aggregator keeps a dense bitmap indexed by page ID, so Restore
+// sizes it by the state's largest ID; the ceiling (a 16 MiB bitmap per
+// campaign, far above the page count of any world the study builds)
+// bounds what corrupt or hostile checkpoint bytes can make it allocate.
+const MaxJaccardPageID = 1<<24 - 1
+
 // NewCrawlJaccardAggregator builds the crawl-side Figure 5 aggregator.
 func NewCrawlJaccardAggregator(campaigns []CrawlCampaign) *CrawlJaccardAggregator {
 	j := &CrawlJaccardAggregator{
@@ -624,6 +631,9 @@ func (j *CrawlJaccardAggregator) Restore(data []byte) error {
 		for _, pg := range st.Pages[i] {
 			if pg < 0 {
 				return fmt.Errorf("analysis: crawl jaccard state: negative page ID %d", pg)
+			}
+			if pg > MaxJaccardPageID {
+				return fmt.Errorf("analysis: crawl jaccard state: page ID %d above the ceiling %d", pg, MaxJaccardPageID)
 			}
 		}
 	}

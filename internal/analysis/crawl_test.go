@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -245,6 +246,7 @@ func TestCrawlAggregatorRestoreRejectsCorruptState(t *testing.T) {
 		{"negative page", `{"pages":[[-5]],"users":[[]]}`},
 		{"negative page after valid", `{"pages":[[3,-1]],"users":[[1]]}`},
 		{"not json", `{"pages":`},
+		{"page above the ceiling", `{"pages":[[1,1099511627776]],"users":[[1]]}`},
 	} {
 		if err := NewCrawlJaccardAggregator(roster).Restore([]byte(tc.state)); err == nil {
 			t.Errorf("%s: Restore accepted %s", tc.name, tc.state)
@@ -252,5 +254,23 @@ func TestCrawlAggregatorRestoreRejectsCorruptState(t *testing.T) {
 		if err := NewCrawlJaccardAggregator(roster).MergeState([]byte(tc.state)); err == nil {
 			t.Errorf("%s: MergeState accepted %s", tc.name, tc.state)
 		}
+	}
+}
+
+// TestCrawlJaccardRestoreHugePageFailsFast: the dense page bitmap is
+// sized by the largest listed page ID, so a state naming page 2^40
+// must be refused before anything is sized by it.
+func TestCrawlJaccardRestoreHugePageFailsFast(t *testing.T) {
+	roster := []CrawlCampaign{{ID: "A", Page: 100, Active: true}}
+	state := []byte(`{"pages":[[3,1099511627776]],"users":[[1]]}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := NewCrawlJaccardAggregator(roster).Restore(state)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Restore accepted page 2^40")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing page 2^40 allocated %d bytes, want under 1 MiB", grew)
 	}
 }

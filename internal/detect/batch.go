@@ -14,14 +14,16 @@ import (
 // platform's fraud sweep drives, and the reference the streaming
 // scorer is pinned byte-identical against.
 //
-// The burst features come from the store's journal: one unsorted scan
-// groups like timestamps per examined account, replacing a per-account
-// sorted copy of the user-side index. Scan order is not canonical, but
-// the features consume only the timestamp multiset (per-account times
-// arrive append-ordered, so the sorted fast-path usually skips the
-// sort), so the output is bit-deterministic for any worker count.
+// Both inputs are read per examined account, never for the whole
+// world: islands come from the friendship subgraph induced on the
+// accounts, and each account's like times are an unsorted copy of its
+// user-side like stream (the same records as its journal events) into
+// one reused buffer per chunk. The features consume only the timestamp
+// multiset (append order is usually time order, so the sorted
+// fast-path usually skips the sort), so the output is bit-deterministic
+// for any worker count.
 func BatchFeatures(st *socialnet.Store, accounts []socialnet.UserID, workers int) ([]AccountFeatures, error) {
-	islands := IsolatedIslands(st.FriendGraph(), accounts)
+	islands := islandSizes(st.FriendSubgraph(accounts))
 
 	// Sort and dedupe: an account that liked several honeypots (the
 	// ALMS reuse scenario) is examined exactly once.
@@ -35,24 +37,13 @@ func BatchFeatures(st *socialnet.Store, accounts []socialnet.UserID, workers int
 	}
 	sorted = uniq
 
-	// Group the examined accounts' like timestamps out of the journal —
-	// one unsorted scan; the burst features only consume the timestamp
-	// multiset, so no canonical materialization is needed.
-	likeTimes := make(map[socialnet.UserID][]time.Time, len(sorted))
-	for _, uid := range sorted {
-		likeTimes[uid] = nil
-	}
-	st.Journal().Scan(func(ev socialnet.LikeEvent) {
-		if ts, tracked := likeTimes[ev.User]; tracked {
-			likeTimes[ev.User] = append(ts, ev.At)
-		}
-	})
-
 	out := make([]AccountFeatures, len(sorted))
 	err := parallel.Chunks(workers, len(sorted), 64, func(lo, hi int) error {
+		var times []time.Time
 		for i := lo; i < hi; i++ {
 			uid := sorted[i]
-			f, err := FeaturesFromTimes(st, uid, likeTimes[uid])
+			times = st.AppendLikeTimesOfUser(times[:0], uid)
+			f, err := FeaturesFromTimes(st, uid, times)
 			if err != nil {
 				return err
 			}

@@ -80,8 +80,8 @@ func foldSorted(ts []time.Time, window time.Duration) featureFold {
 
 // ensureSorted returns the slice itself when it is already
 // non-decreasing — a single monotonicity scan, no allocation — and a
-// sorted copy otherwise. Journal-derived like times arrive
-// append-ordered per user, so the sweep's per-account hot path takes
+// sorted copy otherwise. Like times read off a user stream arrive
+// append-ordered, so the sweep's per-account hot path takes
 // the scan; only genuinely out-of-order input (late bulk-history
 // imports) pays the sort.
 func ensureSorted(times []time.Time) []time.Time {
@@ -159,9 +159,9 @@ func ExtractFeatures(st *socialnet.Store, u socialnet.UserID) (AccountFeatures, 
 }
 
 // FeaturesFromTimes computes features from a precollected like-time
-// slice — the path the platform's fraud sweep uses after grouping
-// timestamps per account out of one pass over the store's journal,
-// instead of copying each account's index. The caller is responsible
+// slice — the path the platform's fraud sweep uses after copying each
+// account's like times out of its user-side stream, unsorted, instead
+// of reading the canonically sorted index. The caller is responsible
 // for the slice covering the account's complete like activity; order
 // does not matter (already-sorted input is detected by a single scan,
 // anything else is sorted into a private copy).
@@ -245,8 +245,13 @@ func IsolatedIslands(base *graph.Undirected, users []socialnet.UserID) map[socia
 	for i, u := range users {
 		ids[i] = int64(u)
 	}
-	sub := base.InducedSubgraph(ids)
-	out := make(map[socialnet.UserID]int, len(users))
+	return islandSizes(base.InducedSubgraph(ids))
+}
+
+// islandSizes maps every node of an induced liker subgraph to the size
+// of its connected component.
+func islandSizes(sub *graph.Undirected) map[socialnet.UserID]int {
+	out := make(map[socialnet.UserID]int, sub.NumNodes())
 	for _, comp := range sub.ConnectedComponents() {
 		for _, n := range comp {
 			out[socialnet.UserID(n)] = len(comp)

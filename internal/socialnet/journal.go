@@ -246,24 +246,6 @@ func (j *Journal) EventsCanonical(workers int) []LikeEvent {
 	return j.merged
 }
 
-// Scan calls fn for every event currently in the journal, shard by
-// shard in index order, events within a shard in append order. The
-// iteration is NOT canonical — use it only for order-insensitive folds
-// (the fraud sweep groups per-account timestamps this way, skipping
-// sort and materialization entirely). fn runs under the shard read lock: it
-// must not append to the journal, but read-only store access is safe —
-// no store write path holds a journal lock and a store lock at once.
-func (j *Journal) Scan(fn func(LikeEvent)) {
-	for i := range j.shards {
-		sh := &j.shards[i]
-		sh.mu.RLock()
-		for _, ev := range sh.events {
-			fn(ev)
-		}
-		sh.mu.RUnlock()
-	}
-}
-
 // mergeParts folds canonically sorted per-shard slices into one sorted
 // slice via pairwise merge rounds in index order — log2(shards)
 // parallel rounds whose tree shape depends only on the part count, so

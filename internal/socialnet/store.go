@@ -602,6 +602,21 @@ func (s *Store) AppendPagesOfUser(dst []PageID, u UserID) []PageID {
 	return dst
 }
 
+// AppendLikeTimesOfUser appends the instants of the user's likes to
+// dst, in the user's append order, and returns the extended slice. The
+// user stream holds the same records as the user's journal events, so
+// an order-insensitive consumer (the batch fraud sweep) reads one
+// account's like times without scanning the journal.
+func (s *Store) AppendLikeTimesOfUser(dst []time.Time, u UserID) []time.Time {
+	sh := s.userShard(u)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for _, lk := range sh.likesByUser[u] {
+		dst = append(dst, lk.At)
+	}
+	return dst
+}
+
 // LikeCountOfUser returns the number of pages the user likes.
 func (s *Store) LikeCountOfUser(u UserID) int {
 	sh := s.userShard(u)
@@ -750,6 +765,19 @@ func (s *Store) FriendGraph() *graph.Undirected {
 	s.friendsMu.RLock()
 	defer s.friendsMu.RUnlock()
 	return s.friends.Clone()
+}
+
+// FriendSubgraph returns the friendship graph induced on the given
+// users (users not in the graph are left out), built under the graph's
+// read lock without copying the rest of the graph.
+func (s *Store) FriendSubgraph(users []UserID) *graph.Undirected {
+	ids := make([]int64, len(users))
+	for i, u := range users {
+		ids[i] = int64(u)
+	}
+	s.friendsMu.RLock()
+	defer s.friendsMu.RUnlock()
+	return s.friends.InducedSubgraph(ids)
 }
 
 // Terminate marks an account terminated (fraud sweep). Terminated
